@@ -4,22 +4,14 @@
 //! locality and shows how much the schemes depend on a competent scheduler
 //! downstream.
 //!
-//! Two parallel phases: alone-IPC denominators (one hardware point per
-//! scheduler — the schedulers genuinely differ even alone), then the
-//! 2 × 2 cell grid.
+//! One [`WsGrid`]: {FR-FCFS, FCFS} × {base, Scheme-1+2}. The schedulers
+//! differ even alone, so each has its own alone denominators.
 
-use noclat::{run_mix, weighted_speedup_of, MemSchedPolicy, SystemConfig};
-use noclat_bench::{banner, pct, w};
-use noclat_engine::{self as sweep, AloneMap, Job, Json, Obj, SweepArgs};
+use noclat::{MemSchedPolicy, SystemConfig};
+use noclat_bench::{banner, pct, w, WsGrid};
+use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 
 const SCHEDS: [MemSchedPolicy; 2] = [MemSchedPolicy::FrFcfs, MemSchedPolicy::Fcfs];
-
-fn hw_with_sched(seed: u64, sched: MemSchedPolicy) -> SystemConfig {
-    let mut hw = SystemConfig::baseline_32();
-    hw.seed = seed;
-    hw.mem.scheduler = sched;
-    hw
-}
 
 fn main() {
     let args = SweepArgs::parse(&format!("ablation_memsched {}", sweep::SWEEP_USAGE));
@@ -27,46 +19,27 @@ fn main() {
         "Ablation: FR-FCFS vs FCFS memory scheduling (workload-8)",
         "Baseline WS and Scheme-1+2 gains per scheduler.",
     );
-    let lengths = args.lengths;
-    let apps = w(8).apps();
-
-    let requests: Vec<_> = SCHEDS
-        .iter()
-        .map(|&s| (hw_with_sched(args.seed, s), apps.clone()))
-        .collect();
-    let alone = AloneMap::compute(&args, &requests);
-
-    let mut jobs = Vec::new();
-    for &sched in &SCHEDS {
-        let hw = hw_with_sched(args.seed, sched);
-        let table = alone.table(&hw, &apps);
-        for both in [false, true] {
-            let mut cfg = if both {
-                hw.clone().with_both_schemes()
-            } else {
-                hw.clone()
-            };
-            args.apply_policy(&mut cfg);
-            let apps = apps.clone();
-            let table = table.clone();
-            let label = if both { "both" } else { "base" };
-            jobs.push(Job::new(format!("memsched/{sched:?}/{label}"), move || {
-                let r = run_mix(&cfg, &apps, lengths);
-                let ws = weighted_speedup_of(&r, &table);
-                let hit_rate: f64 = (0..r.system.num_controllers())
-                    .map(|m| r.system.controller_stats(m).row_hit_rate())
-                    .sum::<f64>()
-                    / r.system.num_controllers() as f64;
-                (ws, hit_rate)
-            }));
-        }
+    let mut grid = WsGrid::new("memsched");
+    grid.workload("", w(8).apps());
+    for sched in SCHEDS {
+        let mut hw = SystemConfig::baseline_32();
+        hw.mem.scheduler = sched;
+        grid.hardware(format!("{sched:?}"), hw);
     }
-    let results = sweep::run_grid(&args, jobs);
+    grid.variant("base", |c| c)
+        .variant("both", SystemConfig::with_both_schemes);
+    let results = grid.run_with(&args, |r, ws| {
+        let hit_rate: f64 = (0..r.system.num_controllers())
+            .map(|m| r.system.controller_stats(m).row_hit_rate())
+            .sum::<f64>()
+            / r.system.num_controllers() as f64;
+        (ws, hit_rate)
+    });
 
     let mut rows_json = Vec::new();
     for (k, &sched) in SCHEDS.iter().enumerate() {
-        let (base, hit_rate) = results[k * 2];
-        let (both, _) = results[k * 2 + 1];
+        let (base, hit_rate) = results.at(0, k, 0);
+        let (both, _) = results.at(0, k, 1);
         println!(
             "{sched:?}: base WS {base:.3}, row-hit rate {hit_rate:.2}, Scheme-1+2 {}",
             pct(both / base)

@@ -5,11 +5,11 @@
 //! priority), and (c) Scheme-2 alone. Workload-8 (memory-intensive) is the
 //! most sensitive to all three.
 //!
-//! Two parallel phases: alone-IPC denominators, then the six-variant grid.
+//! One [`WsGrid`] with six variants.
 
 use noclat::SystemConfig;
-use noclat_bench::{banner, pct, run_with_ws, w};
-use noclat_engine::{self as sweep, AloneMap, Job, Obj, SweepArgs};
+use noclat_bench::{banner, pct, w, WsGrid};
+use noclat_engine::{self as sweep, Obj, SweepArgs};
 
 fn main() {
     let args = SweepArgs::parse(&format!("ablation_priority {}", sweep::SWEEP_USAGE));
@@ -17,48 +17,33 @@ fn main() {
         "Ablation: prioritization machinery (workload-8)",
         "Normalized WS of Scheme-1+2 variants against the unprioritized baseline.",
     );
-    let lengths = args.lengths;
-    let apps = w(8).apps();
-    let mut hw = SystemConfig::baseline_32();
-    hw.seed = args.seed;
-    let alone = AloneMap::compute(&args, &[(hw.clone(), apps.clone())]);
-    let table = alone.table(&hw, &apps);
-
-    let full = hw.clone().with_both_schemes();
-    let mut no_bypass = full.clone();
-    no_bypass.noc.bypass_enabled = false;
-    let mut strict = full.clone();
-    strict.noc.starvation_age_guard = 0;
-
-    let variants: Vec<(&str, SystemConfig)> = vec![
-        ("baseline", hw.clone()),
-        ("s1", hw.clone().with_scheme1()),
-        ("s2", hw.clone().with_scheme2()),
-        ("full", full),
-        ("no_bypass", no_bypass),
-        ("strict", strict),
-    ];
-    let jobs: Vec<Job<f64>> = variants
-        .iter()
-        .map(|(name, cfg)| {
-            let mut cfg = cfg.clone();
-            args.apply_policy(&mut cfg);
-            let apps = apps.clone();
-            let table = table.clone();
-            Job::new(format!("priority/{name}"), move || {
-                run_with_ws(&cfg, &apps, &table, lengths).1
-            })
+    let mut grid = WsGrid::new("priority");
+    grid.workload("", w(8).apps())
+        .hardware("", SystemConfig::baseline_32())
+        .variant("baseline", |c| c)
+        .variant("s1", SystemConfig::with_scheme1)
+        .variant("s2", SystemConfig::with_scheme2)
+        .variant("full", SystemConfig::with_both_schemes)
+        .variant("no_bypass", |c| {
+            let mut c = c.with_both_schemes();
+            c.noc.bypass_enabled = false;
+            c
         })
-        .collect();
-    let ws = sweep::run_grid(&args, jobs);
-    let base = ws[0];
+        .variant("strict", |c| {
+            let mut c = c.with_both_schemes();
+            c.noc.starvation_age_guard = 0;
+            c
+        });
+    let ws = grid.run(&args);
+    let base = ws.at(0, 0, 0);
+    let norm = |v| ws.normalized(0, 0, v);
 
     println!("baseline WS                    : {base:.3}");
-    println!("Scheme-1 only                  : {}", pct(ws[1] / base));
-    println!("Scheme-2 only                  : {}", pct(ws[2] / base));
-    println!("Scheme-1+2 (full)              : {}", pct(ws[3] / base));
-    println!("Scheme-1+2, no bypassing       : {}", pct(ws[4] / base));
-    println!("Scheme-1+2, zero age guard     : {}", pct(ws[5] / base));
+    println!("Scheme-1 only                  : {}", pct(norm(1)));
+    println!("Scheme-2 only                  : {}", pct(norm(2)));
+    println!("Scheme-1+2 (full)              : {}", pct(norm(3)));
+    println!("Scheme-1+2, no bypassing       : {}", pct(norm(4)));
+    println!("Scheme-1+2, zero age guard     : {}", pct(norm(5)));
 
     let json = sweep::report(
         "ablation_priority",
@@ -66,11 +51,11 @@ fn main() {
         Obj::new()
             .field("workload", 8u64)
             .field("base_ws", base)
-            .field("s1", ws[1] / base)
-            .field("s2", ws[2] / base)
-            .field("full", ws[3] / base)
-            .field("no_bypass", ws[4] / base)
-            .field("strict", ws[5] / base)
+            .field("s1", norm(1))
+            .field("s2", norm(2))
+            .field("full", norm(3))
+            .field("no_bypass", norm(4))
+            .field("strict", norm(5))
             .build(),
     );
     sweep::finish(&args, &json);

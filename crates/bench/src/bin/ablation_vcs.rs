@@ -2,22 +2,14 @@
 //! combined schemes. More VCs reduce head-of-line blocking, which shrinks
 //! the queueing the schemes can jump.
 //!
-//! Two parallel phases: alone-IPC denominators (one hardware point per VC
-//! count — alone runs depend on the NoC too, and the [`AloneMap`] keys by
-//! the full hardware configuration), then the 3 × 2 cell grid.
+//! One [`WsGrid`]: {2, 4, 8} VCs × {base, Scheme-1+2}. Alone runs depend
+//! on the NoC too, so each VC count has its own alone denominators.
 
 use noclat::SystemConfig;
-use noclat_bench::{banner, pct, run_with_ws, w};
-use noclat_engine::{self as sweep, AloneMap, Job, Json, Obj, SweepArgs};
+use noclat_bench::{banner, pct, w, WsGrid};
+use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 
 const VCS: [usize; 3] = [2, 4, 8];
-
-fn hw_with_vcs(seed: u64, vcs: usize) -> SystemConfig {
-    let mut hw = SystemConfig::baseline_32();
-    hw.seed = seed;
-    hw.noc.vcs_per_port = vcs;
-    hw
-}
 
 fn main() {
     let args = SweepArgs::parse(&format!("ablation_vcs {}", sweep::SWEEP_USAGE));
@@ -25,40 +17,21 @@ fn main() {
         "Ablation: VCs per port (workload-2)",
         "Baseline WS and Scheme-1+2 gains per VC count.",
     );
-    let lengths = args.lengths;
-    let apps = w(2).apps();
-
-    let requests: Vec<_> = VCS
-        .iter()
-        .map(|&v| (hw_with_vcs(args.seed, v), apps.clone()))
-        .collect();
-    let alone = AloneMap::compute(&args, &requests);
-
-    let mut jobs = Vec::new();
-    for &vcs in &VCS {
-        let hw = hw_with_vcs(args.seed, vcs);
-        let table = alone.table(&hw, &apps);
-        for both in [false, true] {
-            let mut cfg = if both {
-                hw.clone().with_both_schemes()
-            } else {
-                hw.clone()
-            };
-            args.apply_policy(&mut cfg);
-            let apps = apps.clone();
-            let table = table.clone();
-            let label = if both { "both" } else { "base" };
-            jobs.push(Job::new(format!("vcs/{vcs}/{label}"), move || {
-                run_with_ws(&cfg, &apps, &table, lengths).1
-            }));
-        }
+    let mut grid = WsGrid::new("vcs");
+    grid.workload("", w(2).apps());
+    for vcs in VCS {
+        let mut hw = SystemConfig::baseline_32();
+        hw.noc.vcs_per_port = vcs;
+        grid.hardware(vcs.to_string(), hw);
     }
-    let ws = sweep::run_grid(&args, jobs);
+    grid.variant("base", |c| c)
+        .variant("both", SystemConfig::with_both_schemes);
+    let ws = grid.run(&args);
 
     let mut rows_json = Vec::new();
     for (k, &vcs) in VCS.iter().enumerate() {
-        let base = ws[k * 2];
-        let both = ws[k * 2 + 1];
+        let base = ws.at(0, k, 0);
+        let both = ws.at(0, k, 1);
         println!(
             "{vcs} VCs/port: base WS {base:.3}, Scheme-1+2 {}",
             pct(both / base)

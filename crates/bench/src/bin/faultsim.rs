@@ -15,7 +15,7 @@
 //!
 //! All 16 cells run as one pool grid.
 //!
-//! Exit codes (shared with every sweep binary, see `sweep::exit_code`):
+//! Exit codes (shared with every sweep binary, see `noclat_engine::ExitCode`):
 //! 0 success, 2 bad arguments/configuration, 3 a cell panicked, 4 a cell
 //! exceeded `--job-timeout`, 5 transactions were lost (watchdog/liveness
 //! regression).
@@ -198,6 +198,6 @@ fn main() {
     if !all_retired {
         // Distinct from config errors (2) and quarantined jobs (3/4), so CI
         // can tell a liveness regression apart from a harness failure.
-        std::process::exit(sweep::exit_code::WATCHDOG);
+        sweep::ExitCode::Watchdog.exit();
     }
 }

@@ -7,12 +7,11 @@
 //! may dip slightly below 1.0 under Scheme-1 alone (the paper saw this for
 //! workloads 2 and 9).
 //!
-//! Two parallel phases: the alone-IPC denominators (one pool job per app)
-//! and the 18 × 3 workload × scheme mix grid.
+//! One [`WsGrid`]: 18 workloads × {base, Scheme-1, Scheme-1+2}.
 
 use noclat::SystemConfig;
-use noclat_bench::{banner, pct, run_with_ws, w};
-use noclat_engine::{self as sweep, AloneMap, Job, Json, Obj, SweepArgs};
+use noclat_bench::{banner, pct, w, WsGrid};
+use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 use noclat_sim::stats::geomean;
 use noclat_workloads::{indices_of, WorkloadKind};
 
@@ -22,33 +21,15 @@ fn main() {
         "Figure 11: Normalized weighted speedup, 18 workloads, 32-core system",
         "Bars: Scheme-1 and Scheme-1+Scheme-2, normalized to the baseline.",
     );
-    let lengths = args.lengths;
-    let mut hw = SystemConfig::baseline_32();
-    hw.seed = args.seed;
-
-    let requests: Vec<_> = (1..=18).map(|i| (hw.clone(), w(i).apps())).collect();
-    let alone = AloneMap::compute(&args, &requests);
-
-    let mut jobs = Vec::new();
+    let mut grid = WsGrid::new("fig11");
+    grid.hardware("", SystemConfig::baseline_32())
+        .variant("base", |c| c)
+        .variant("s1", SystemConfig::with_scheme1)
+        .variant("both", SystemConfig::with_both_schemes);
     for i in 1..=18 {
-        let apps = w(i).apps();
-        let table = alone.table(&hw, &apps);
-        for variant in ["base", "s1", "both"] {
-            let mut cfg = match variant {
-                "base" => hw.clone(),
-                "s1" => hw.clone().with_scheme1(),
-                _ => hw.clone().with_both_schemes(),
-            };
-            args.apply_policy(&mut cfg);
-            let apps = apps.clone();
-            let table = table.clone();
-            jobs.push(Job::new(
-                format!("fig11/{}/{variant}", w(i).name()),
-                move || run_with_ws(&cfg, &apps, &table, lengths).1,
-            ));
-        }
+        grid.workload(w(i).name(), w(i).apps());
     }
-    let ws = sweep::run_grid(&args, jobs);
+    let ws = grid.run(&args);
 
     let mut rows_json = Vec::new();
     let mut geo_json = Obj::new();
@@ -65,9 +46,9 @@ fn main() {
         let mut s1s = Vec::new();
         let mut boths = Vec::new();
         for i in indices_of(kind) {
-            let base = ws[(i - 1) * 3];
-            let s1 = ws[(i - 1) * 3 + 1] / base;
-            let both = ws[(i - 1) * 3 + 2] / base;
+            let base = ws.at(i - 1, 0, 0);
+            let s1 = ws.normalized(i - 1, 0, 1);
+            let both = ws.normalized(i - 1, 0, 2);
             println!(
                 "{:>12} {:>9.3} {:>10.3} {:>12.3}",
                 w(i).name(),

@@ -4,12 +4,11 @@
 //! Paper shape to reproduce: 1.2x is the sweet spot; 1.4x marks too few
 //! messages, 1.0x marks too many (prioritizing everything hurts the rest).
 //!
-//! Two parallel phases: alone-IPC denominators, then the 6 × 4 cell grid
-//! (baseline plus three thresholds per workload).
+//! One [`WsGrid`]: workloads 1-6 × {baseline, three thresholds}.
 
 use noclat::SystemConfig;
-use noclat_bench::{banner, run_with_ws, w};
-use noclat_engine::{self as sweep, AloneMap, Job, Json, Obj, SweepArgs};
+use noclat_bench::{banner, w, WsGrid};
+use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 use noclat_sim::stats::geomean;
 
 const FACTORS: [f64; 3] = [1.0, 1.2, 1.4];
@@ -20,36 +19,21 @@ fn main() {
         "Figure 16a: Threshold sensitivity (workloads 1-6, Scheme-1+2)",
         "Normalized WS for thresholds 1.0x, 1.2x and 1.4x Delay_avg.",
     );
-    let lengths = args.lengths;
-    let mut hw = SystemConfig::baseline_32();
-    hw.seed = args.seed;
-
-    let requests: Vec<_> = (1..=6).map(|i| (hw.clone(), w(i).apps())).collect();
-    let alone = AloneMap::compute(&args, &requests);
-
-    let mut jobs = Vec::new();
-    for i in 1..=6 {
-        let apps = w(i).apps();
-        let table = alone.table(&hw, &apps);
-        for factor in [0.0].iter().chain(FACTORS.iter()) {
-            // factor 0.0 marks the unprioritized baseline cell
-            let mut cfg = if *factor == 0.0 {
-                hw.clone()
-            } else {
-                let mut c = hw.clone().with_both_schemes();
-                c.scheme1.threshold_factor = *factor;
-                c
-            };
-            args.apply_policy(&mut cfg);
-            let apps = apps.clone();
-            let table = table.clone();
-            jobs.push(Job::new(
-                format!("fig16a/{}/t{factor}", w(i).name()),
-                move || run_with_ws(&cfg, &apps, &table, lengths).1,
-            ));
-        }
+    let mut grid = WsGrid::new("fig16a");
+    grid.hardware("", SystemConfig::baseline_32())
+        // t0 labels the unprioritized baseline cell
+        .variant("t0", |c| c);
+    for factor in FACTORS {
+        grid.variant(format!("t{factor}"), move |c| {
+            let mut c = c.with_both_schemes();
+            c.scheme1.threshold_factor = factor;
+            c
+        });
     }
-    let ws = sweep::run_grid(&args, jobs);
+    for i in 1..=6 {
+        grid.workload(w(i).name(), w(i).apps());
+    }
+    let ws = grid.run(&args);
 
     println!(
         "{:>12} {:>8} {:>8} {:>8}",
@@ -58,8 +42,8 @@ fn main() {
     let mut cols: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     let mut rows_json = Vec::new();
     for i in 1..=6 {
-        let base = ws[(i - 1) * 4];
-        let row: Vec<f64> = (0..3).map(|k| ws[(i - 1) * 4 + 1 + k] / base).collect();
+        let base = ws.at(i - 1, 0, 0);
+        let row: Vec<f64> = (1..=3).map(|k| ws.normalized(i - 1, 0, k)).collect();
         for (k, v) in row.iter().enumerate() {
             cols[k].push(*v);
         }

@@ -5,23 +5,15 @@
 //! rises, there are more late accesses for Scheme-1 to catch, and combined
 //! gains are slightly higher (with exceptions, e.g. the paper's w-2/w-3).
 //!
-//! Two parallel phases: alone-IPC denominators (one hardware point per
-//! controller count — the [`AloneMap`] keeps them distinct), then the
-//! 6 × 2 × 2 cell grid.
+//! One [`WsGrid`]: workloads 1-6 × {4, 2} controllers × {base,
+//! Scheme-1+2}; each controller count has its own alone denominators.
 
 use noclat::SystemConfig;
-use noclat_bench::{banner, run_with_ws, w};
-use noclat_engine::{self as sweep, AloneMap, Job, Json, Obj, SweepArgs};
+use noclat_bench::{banner, w, WsGrid};
+use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 use noclat_sim::stats::geomean;
 
 const MCS: [usize; 2] = [4, 2];
-
-fn hw_with_mcs(seed: u64, mcs: usize) -> SystemConfig {
-    let mut hw = SystemConfig::baseline_32();
-    hw.seed = seed;
-    hw.mem.num_controllers = mcs;
-    hw
-}
 
 fn main() {
     let args = SweepArgs::parse(&format!("fig16c {}", sweep::SWEEP_USAGE));
@@ -29,40 +21,18 @@ fn main() {
         "Figure 16c: 2 vs 4 memory controllers (workloads 1-6, Scheme-1+2)",
         "Normalized WS per controller count.",
     );
-    let lengths = args.lengths;
-
-    let mut requests = Vec::new();
-    for &mcs in &MCS {
-        for i in 1..=6 {
-            requests.push((hw_with_mcs(args.seed, mcs), w(i).apps()));
-        }
-    }
-    let alone = AloneMap::compute(&args, &requests);
-
-    let mut jobs = Vec::new();
+    let mut grid = WsGrid::new("fig16c");
     for i in 1..=6 {
-        let apps = w(i).apps();
-        for &mcs in &MCS {
-            let hw = hw_with_mcs(args.seed, mcs);
-            let table = alone.table(&hw, &apps);
-            for both in [false, true] {
-                let mut cfg = if both {
-                    hw.clone().with_both_schemes()
-                } else {
-                    hw.clone()
-                };
-                args.apply_policy(&mut cfg);
-                let apps = apps.clone();
-                let table = table.clone();
-                let label = if both { "both" } else { "base" };
-                jobs.push(Job::new(
-                    format!("fig16c/{}/{mcs}mc/{label}", w(i).name()),
-                    move || run_with_ws(&cfg, &apps, &table, lengths).1,
-                ));
-            }
-        }
+        grid.workload(w(i).name(), w(i).apps());
     }
-    let ws = sweep::run_grid(&args, jobs);
+    for mcs in MCS {
+        let mut hw = SystemConfig::baseline_32();
+        hw.mem.num_controllers = mcs;
+        grid.hardware(format!("{mcs}mc"), hw);
+    }
+    grid.variant("base", |c| c)
+        .variant("both", SystemConfig::with_both_schemes);
+    let ws = grid.run(&args);
 
     println!("{:>12} {:>8} {:>8}", "workload", "4 MCs", "2 MCs");
     let mut cols: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
@@ -70,8 +40,7 @@ fn main() {
     for i in 1..=6 {
         let mut row = Vec::new();
         for (k, col) in cols.iter_mut().enumerate() {
-            let at = (i - 1) * 4 + k * 2;
-            let v = ws[at + 1] / ws[at];
+            let v = ws.normalized(i - 1, k, 1);
             row.push(v);
             col.push(v);
         }

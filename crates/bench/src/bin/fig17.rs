@@ -5,22 +5,15 @@
 //! by 25-40% (shallower pipelines leave less network latency to save, and
 //! pipeline bypassing has nothing left to skip).
 //!
-//! Two parallel phases: alone-IPC denominators (one hardware point per
-//! pipeline depth), then the 6 × 2 × 2 cell grid.
+//! One [`WsGrid`]: workloads 1-6 × {5, 2} pipeline stages × {base,
+//! Scheme-1+2}; each pipeline depth has its own alone denominators.
 
 use noclat::{RouterPipeline, SystemConfig};
-use noclat_bench::{banner, run_with_ws, w};
-use noclat_engine::{self as sweep, AloneMap, Job, Json, Obj, SweepArgs};
+use noclat_bench::{banner, w, WsGrid};
+use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 use noclat_sim::stats::geomean;
 
 const PIPES: [RouterPipeline; 2] = [RouterPipeline::FiveStage, RouterPipeline::TwoStage];
-
-fn hw_with_pipe(seed: u64, pipe: RouterPipeline) -> SystemConfig {
-    let mut hw = SystemConfig::baseline_32();
-    hw.seed = seed;
-    hw.noc.pipeline = pipe;
-    hw
-}
 
 fn main() {
     let args = SweepArgs::parse(&format!("fig17 {}", sweep::SWEEP_USAGE));
@@ -28,40 +21,18 @@ fn main() {
         "Figure 17: 5-stage vs 2-stage router pipelines (workloads 1-6, Scheme-1+2)",
         "Normalized WS per pipeline depth.",
     );
-    let lengths = args.lengths;
-
-    let mut requests = Vec::new();
-    for &pipe in &PIPES {
-        for i in 1..=6 {
-            requests.push((hw_with_pipe(args.seed, pipe), w(i).apps()));
-        }
-    }
-    let alone = AloneMap::compute(&args, &requests);
-
-    let mut jobs = Vec::new();
+    let mut grid = WsGrid::new("fig17");
     for i in 1..=6 {
-        let apps = w(i).apps();
-        for &pipe in &PIPES {
-            let hw = hw_with_pipe(args.seed, pipe);
-            let table = alone.table(&hw, &apps);
-            for both in [false, true] {
-                let mut cfg = if both {
-                    hw.clone().with_both_schemes()
-                } else {
-                    hw.clone()
-                };
-                args.apply_policy(&mut cfg);
-                let apps = apps.clone();
-                let table = table.clone();
-                let label = if both { "both" } else { "base" };
-                jobs.push(Job::new(
-                    format!("fig17/{}/{pipe:?}/{label}", w(i).name()),
-                    move || run_with_ws(&cfg, &apps, &table, lengths).1,
-                ));
-            }
-        }
+        grid.workload(w(i).name(), w(i).apps());
     }
-    let ws = sweep::run_grid(&args, jobs);
+    for pipe in PIPES {
+        let mut hw = SystemConfig::baseline_32();
+        hw.noc.pipeline = pipe;
+        grid.hardware(format!("{pipe:?}"), hw);
+    }
+    grid.variant("base", |c| c)
+        .variant("both", SystemConfig::with_both_schemes);
+    let ws = grid.run(&args);
 
     println!("{:>12} {:>9} {:>9}", "workload", "5-stage", "2-stage");
     let mut cols: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
@@ -69,8 +40,7 @@ fn main() {
     for i in 1..=6 {
         let mut row = Vec::new();
         for (k, col) in cols.iter_mut().enumerate() {
-            let at = (i - 1) * 4 + k * 2;
-            let v = ws[at + 1] / ws[at];
+            let v = ws.normalized(i - 1, k, 1);
             row.push(v);
             col.push(v);
         }

@@ -13,7 +13,7 @@
 
 use noclat::{run_mix, McPlacement, RunLengths, SystemConfig, TopologyKind, TopologyOverride};
 use noclat_bench::{banner, merged_latency_histogram, w};
-use noclat_engine::{self as sweep, exit_code, GridCell, Job, Json, Obj, PruneInfo, SweepArgs};
+use noclat_engine::{self as sweep, ExitCode, GridCell, Job, Json, Obj, PruneInfo, SweepArgs};
 use noclat_workloads::SpecApp;
 
 /// Workload driving every cell (the paper's milc-bearing mixed workload).
@@ -34,7 +34,7 @@ fn usage() -> String {
 fn fail_usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("usage: {}", usage());
-    std::process::exit(exit_code::CONFIG);
+    ExitCode::Config.exit();
 }
 
 struct Grid {

@@ -5,33 +5,10 @@
 //! argument (or `NOCLAT_QUICK=1`) that shrinks the simulation windows for
 //! smoke-testing the harness itself.
 
-use std::collections::HashMap;
-
-use noclat::{
-    alone_ipc, run_mix, weighted_speedup_of, MixResult, RouterPipeline, RunLengths, SystemConfig,
-};
+use noclat::{run_mix, weighted_speedup_of, MixResult, SystemConfig};
+use noclat_engine::{run_grid, AloneMap, CellCodec, Job, SweepArgs};
 use noclat_sim::stats::Histogram;
 use noclat_workloads::{workload, SpecApp, Workload};
-
-pub mod sweep;
-
-/// Simulation windows selected from the command line (`quick` argument or
-/// `NOCLAT_QUICK=1` environment variable shrink them).
-#[must_use]
-pub fn lengths_from_args() -> RunLengths {
-    let quick = std::env::args().any(|a| a == "quick" || a == "--quick")
-        || std::env::var("NOCLAT_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-    if quick {
-        RunLengths {
-            warmup: 5_000,
-            measure: 40_000,
-        }
-    } else {
-        RunLengths::standard()
-    }
-}
 
 /// Prints the standard harness header.
 pub fn banner(artifact: &str, what: &str) {
@@ -41,88 +18,157 @@ pub fn banner(artifact: &str, what: &str) {
     println!("==============================================================");
 }
 
-/// An alone-IPC table shared across scheme variants of the same hardware
-/// (alone runs are scheme-independent by construction).
-#[derive(Debug, Default)]
-pub struct AloneTable {
-    cache: HashMap<(u16, u16, usize, RouterPipeline, SpecApp), f64>,
+/// A configuration transform naming one variant of a [`WsGrid`].
+type Variant = Box<dyn Fn(SystemConfig) -> SystemConfig>;
+
+/// A weighted-speedup grid over three axes: workloads × hardware points ×
+/// variants. Every figure and ablation that reports weighted speedup
+/// declares its axes here and renders the returned [`WsCells`].
+///
+/// The grid runs two parallel phases: the alone-IPC denominators of every
+/// `(hardware point, app)` pair, then one mix run per cell. The sweep's
+/// `--seed` and its `--policy`/`--kernel`/`--topology` overrides reach
+/// every hardware point *before* its alone runs are requested, so each
+/// cell's weighted speedup is normalized against alone runs on the
+/// hardware it actually simulated.
+///
+/// A cell's job label is `name/workload/hardware/variant`, with empty
+/// axis labels left out (a single-workload ablation labels its workload
+/// `""`).
+pub struct WsGrid {
+    name: String,
+    workloads: Vec<(String, Vec<SpecApp>)>,
+    hardware: Vec<(String, SystemConfig)>,
+    variants: Vec<(String, Variant)>,
 }
 
-impl AloneTable {
-    /// Creates an empty cache.
+impl WsGrid {
+    /// An empty grid whose job labels start with `name`.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(name: &str) -> WsGrid {
+        WsGrid {
+            name: name.to_string(),
+            workloads: Vec::new(),
+            hardware: Vec::new(),
+            variants: Vec::new(),
+        }
     }
 
-    /// Alone IPC of `app` on the hardware described by `cfg` (cached).
-    pub fn get(&mut self, cfg: &SystemConfig, app: SpecApp, lengths: RunLengths) -> f64 {
-        let key = (
-            cfg.topology.width,
-            cfg.topology.height,
-            cfg.mem.num_controllers,
-            cfg.noc.pipeline,
-            app,
-        );
-        *self
-            .cache
-            .entry(key)
-            .or_insert_with(|| alone_ipc(cfg, app, lengths))
+    /// Adds a workload: the apps placed one per core, in core order.
+    pub fn workload(&mut self, label: impl Into<String>, apps: Vec<SpecApp>) -> &mut WsGrid {
+        self.workloads.push((label.into(), apps));
+        self
     }
 
-    /// Alone IPCs for every distinct app of a workload.
-    pub fn table(
+    /// Adds a hardware point. Its seed is replaced by the sweep's `--seed`.
+    pub fn hardware(&mut self, label: impl Into<String>, cfg: SystemConfig) -> &mut WsGrid {
+        self.hardware.push((label.into(), cfg));
+        self
+    }
+
+    /// Adds a variant: a transform from a hardware point to the
+    /// configuration the cell simulates. Variant 0 is the baseline that
+    /// [`WsCells::normalized`] divides by.
+    pub fn variant(
         &mut self,
-        cfg: &SystemConfig,
-        apps: &[SpecApp],
-        lengths: RunLengths,
-    ) -> HashMap<SpecApp, f64> {
-        apps.iter()
-            .map(|&a| (a, self.get(cfg, a, lengths)))
-            .collect()
+        label: impl Into<String>,
+        apply: impl Fn(SystemConfig) -> SystemConfig + 'static,
+    ) -> &mut WsGrid {
+        self.variants.push((label.into(), Box::new(apply)));
+        self
+    }
+
+    /// Runs the grid and returns the weighted speedup of every cell.
+    #[must_use]
+    pub fn run(&self, args: &SweepArgs) -> WsCells<f64> {
+        self.run_with(args, |_, ws| ws)
+    }
+
+    /// Runs the grid, turning each cell's mix result and weighted speedup
+    /// into a `T` (for figures that report more than the speedup).
+    #[must_use]
+    pub fn run_with<T: Send + CellCodec + 'static>(
+        &self,
+        args: &SweepArgs,
+        cell: fn(&MixResult, f64) -> T,
+    ) -> WsCells<T> {
+        let hardware: Vec<SystemConfig> = self
+            .hardware
+            .iter()
+            .map(|(_, cfg)| {
+                let mut hw = cfg.clone();
+                hw.seed = args.seed;
+                hw
+            })
+            .collect();
+        let simulated = |mut cfg: SystemConfig| {
+            args.apply_policy(&mut cfg);
+            cfg
+        };
+        // The hardware each cell simulates, which its alone runs share.
+        let alone_hw: Vec<SystemConfig> = hardware.iter().cloned().map(simulated).collect();
+
+        let mut requests = Vec::new();
+        for hw in &alone_hw {
+            for (_, apps) in &self.workloads {
+                requests.push((hw.clone(), apps.clone()));
+            }
+        }
+        let alone = AloneMap::compute(args, &requests);
+
+        let lengths = args.lengths;
+        let mut jobs = Vec::new();
+        for (w_label, apps) in &self.workloads {
+            for (h, (hw_label, _)) in self.hardware.iter().enumerate() {
+                let table = alone.table(&alone_hw[h], apps);
+                for (v_label, apply) in &self.variants {
+                    let cfg = simulated(apply(hardware[h].clone()));
+                    let apps = apps.clone();
+                    let table = table.clone();
+                    let label = [&self.name, w_label, hw_label, v_label]
+                        .into_iter()
+                        .filter(|part| !part.is_empty())
+                        .map(String::as_str)
+                        .collect::<Vec<_>>()
+                        .join("/");
+                    jobs.push(Job::new(label, move || {
+                        let r = run_mix(&cfg, &apps, lengths);
+                        let ws = weighted_speedup_of(&r, &table);
+                        cell(&r, ws)
+                    }));
+                }
+            }
+        }
+        WsCells {
+            cells: run_grid(args, jobs),
+            hardware: hardware.len(),
+            variants: self.variants.len(),
+        }
     }
 }
 
-/// Runs one workload under a configuration and returns `(result, WS)`.
-pub fn run_with_ws(
-    cfg: &SystemConfig,
-    apps: &[SpecApp],
-    alone: &HashMap<SpecApp, f64>,
-    lengths: RunLengths,
-) -> (MixResult, f64) {
-    let r = run_mix(cfg, apps, lengths);
-    let ws = weighted_speedup_of(&r, alone);
-    (r, ws)
+/// The cells of a finished [`WsGrid`], indexed by its axes.
+#[derive(Debug)]
+pub struct WsCells<T> {
+    cells: Vec<T>,
+    hardware: usize,
+    variants: usize,
 }
 
-/// Normalized weighted speedups of scheme variants against the baseline,
-/// for one workload on one hardware configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct NormalizedWs {
-    /// Baseline (no prioritization) absolute WS.
-    pub base: f64,
-    /// Scheme-1 WS normalized to baseline.
-    pub s1: f64,
-    /// Scheme-1 + Scheme-2 WS normalized to baseline.
-    pub both: f64,
+impl<T: Copy> WsCells<T> {
+    /// The cell of workload `w` on hardware point `h` under variant `v`
+    /// (each index in the order the axis was declared).
+    #[must_use]
+    pub fn at(&self, w: usize, h: usize, v: usize) -> T {
+        self.cells[(w * self.hardware + h) * self.variants + v]
+    }
 }
 
-/// Runs baseline / Scheme-1 / Scheme-1+2 for a workload and normalizes.
-pub fn normalized_ws(
-    hw: &SystemConfig,
-    w: &Workload,
-    alone: &mut AloneTable,
-    lengths: RunLengths,
-) -> NormalizedWs {
-    let apps = w.apps();
-    let table = alone.table(hw, &apps, lengths);
-    let (_, base) = run_with_ws(hw, &apps, &table, lengths);
-    let (_, s1) = run_with_ws(&hw.clone().with_scheme1(), &apps, &table, lengths);
-    let (_, both) = run_with_ws(&hw.clone().with_both_schemes(), &apps, &table, lengths);
-    NormalizedWs {
-        base,
-        s1: s1 / base,
-        both: both / base,
+impl WsCells<f64> {
+    /// The weighted speedup of a cell divided by its baseline (variant 0).
+    #[must_use]
+    pub fn normalized(&self, w: usize, h: usize, v: usize) -> f64 {
+        self.at(w, h, v) / self.at(w, h, 0)
     }
 }
 
@@ -154,35 +200,11 @@ pub fn pct(ratio: f64) -> String {
     format!("{:+.1}%", (ratio - 1.0) * 100.0)
 }
 
-/// Minimal timing harness backing the `benches/` targets (`harness = false`
-/// binaries; the offline toolchain carries no external bench framework).
-///
-/// Runs `f` once untimed to warm caches, then `iters` timed repetitions,
-/// and prints the best and mean wall-clock time per repetition together
-/// with the final result (which also keeps the work observable).
-pub fn bench_loop<R: std::fmt::Debug>(name: &str, iters: u32, mut f: impl FnMut() -> R) {
-    assert!(iters > 0, "bench_loop needs at least one iteration");
-    let _ = f();
-    let mut best = std::time::Duration::MAX;
-    let mut total = std::time::Duration::ZERO;
-    let mut last = None;
-    for _ in 0..iters {
-        let t0 = std::time::Instant::now();
-        let r = f();
-        let dt = t0.elapsed();
-        best = best.min(dt);
-        total += dt;
-        last = Some(r);
-    }
-    println!(
-        "{name}: best {best:?}, mean {:?} over {iters} iters (result {last:?})",
-        total / iters
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noclat::alone_ipc;
+    use std::collections::HashMap;
 
     #[test]
     fn pct_formats() {
@@ -190,18 +212,42 @@ mod tests {
         assert_eq!(pct(0.99), "-1.0%");
     }
 
+    /// With `--topology torus`, a cell's weighted speedup divides by alone
+    /// runs on the torus it simulated, not on the declared mesh.
     #[test]
-    fn alone_table_caches() {
-        // Cache key ignores schemes (alone runs are scheme-independent).
-        let mut t = AloneTable::new();
-        let cfg = SystemConfig::baseline_32();
-        let lengths = RunLengths {
-            warmup: 500,
-            measure: 3_000,
+    fn alone_denominators_follow_the_topology_override() {
+        let argv: Vec<String> = [
+            "--topology",
+            "torus",
+            "--warmup",
+            "200",
+            "--measure",
+            "1000",
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+        let (mut args, _) = SweepArgs::parse_argv(&argv).unwrap();
+        args.jobs = 2;
+        let apps = [SpecApp::Mcf, SpecApp::Gamess].repeat(16);
+        let mut grid = WsGrid::new("torus-test");
+        grid.workload("", apps.clone())
+            .hardware("", SystemConfig::baseline_32())
+            .variant("base", |c| c);
+        let ws = grid.run(&args).at(0, 0, 0);
+
+        let mesh = SystemConfig::baseline_32();
+        let mut torus = mesh.clone();
+        args.apply_policy(&mut torus);
+        let shared = run_mix(&torus, &apps, args.lengths);
+        let ws_over = |hw: &SystemConfig| {
+            let alone: HashMap<SpecApp, f64> = [SpecApp::Mcf, SpecApp::Gamess]
+                .into_iter()
+                .map(|app| (app, alone_ipc(hw, app, args.lengths)))
+                .collect();
+            weighted_speedup_of(&shared, &alone)
         };
-        let a = t.get(&cfg, SpecApp::Gamess, lengths);
-        let b = t.get(&cfg.clone().with_both_schemes(), SpecApp::Gamess, lengths);
-        assert_eq!(a, b);
-        assert_eq!(t.cache.len(), 1);
+        assert_eq!(ws, ws_over(&torus));
+        assert_ne!(ws, ws_over(&mesh), "the two fabrics' alone IPCs differ");
     }
 }

@@ -1,6 +1,8 @@
-//! End-to-end `--jobs` equivalence of a real harness binary: fig09 (the
-//! sharded distribution figure) must print and serialize byte-identical
-//! reports whether its shards run serially or on four workers.
+//! End-to-end `--jobs` equivalence of real harness binaries: fig09 (the
+//! sharded distribution figure) and fig16c (a weighted-speedup grid with
+//! two hardware points, so two sets of alone denominators) must print and
+//! serialize byte-identical reports whether their cells run serially or on
+//! four workers.
 
 use std::process::Command;
 
@@ -8,39 +10,45 @@ use std::process::Command;
 fn fig09_reports_are_byte_identical_across_jobs() {
     let dir = std::env::temp_dir().join(format!("noclat-bin-det-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let mut outputs = Vec::new();
-    for jobs in ["1", "4"] {
-        let json = dir.join(format!("fig09-{jobs}.json"));
-        let out = Command::new(env!("CARGO_BIN_EXE_fig09"))
-            .args([
-                "--warmup",
-                "200",
-                "--measure",
-                "1000",
-                "--jobs",
-                jobs,
-                "--json",
-            ])
-            .arg(&json)
-            .output()
-            .expect("fig09 spawns");
-        assert!(
-            out.status.success(),
-            "fig09 --jobs {jobs} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
+    let bins = [
+        ("fig09", env!("CARGO_BIN_EXE_fig09")),
+        ("fig16c", env!("CARGO_BIN_EXE_fig16c")),
+    ];
+    for (name, bin) in bins {
+        let mut outputs = Vec::new();
+        for jobs in ["1", "4"] {
+            let json = dir.join(format!("{name}-{jobs}.json"));
+            let out = Command::new(bin)
+                .args([
+                    "--warmup",
+                    "200",
+                    "--measure",
+                    "1000",
+                    "--jobs",
+                    jobs,
+                    "--json",
+                ])
+                .arg(&json)
+                .output()
+                .unwrap_or_else(|e| panic!("{name} spawns: {e}"));
+            assert!(
+                out.status.success(),
+                "{name} --jobs {jobs} failed: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let report = std::fs::read(&json).expect("the binary wrote its JSON report");
+            assert!(!report.is_empty());
+            outputs.push((out.stdout, report));
+        }
+        assert_eq!(
+            outputs[0].0, outputs[1].0,
+            "{name}: stdout must not depend on --jobs"
         );
-        let report = std::fs::read(&json).expect("fig09 wrote the JSON report");
-        assert!(!report.is_empty());
-        outputs.push((out.stdout, report));
+        assert_eq!(
+            outputs[0].1, outputs[1].1,
+            "{name}: the JSON report must not depend on --jobs"
+        );
     }
-    assert_eq!(
-        outputs[0].0, outputs[1].0,
-        "stdout must not depend on --jobs"
-    );
-    assert_eq!(
-        outputs[0].1, outputs[1].1,
-        "the JSON report must not depend on --jobs"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

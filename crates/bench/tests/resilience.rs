@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use noclat::{JournalError, SimError, SystemConfig};
-use noclat_bench::sweep::{
-    self, exit_code, GridCell, Job, Json, Obj, PruneInfo, PruneSpec, SweepArgs,
+use noclat_engine::{
+    self as sweep, ExitCode, GridCell, Job, Json, Obj, PruneInfo, PruneSpec, SweepArgs,
 };
 use noclat_workloads::workload;
 
@@ -519,7 +519,7 @@ fn pruning_everything_exits_with_the_dedicated_code() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
         out.status.code(),
-        Some(exit_code::PRUNED_EMPTY),
+        Some(ExitCode::PrunedEmpty.code()),
         "expected PRUNED_EMPTY exit; stderr:\n{stderr}"
     );
     assert!(

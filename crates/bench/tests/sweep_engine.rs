@@ -4,7 +4,7 @@
 //! siblings' results).
 
 use noclat::{run_mix, MixResult, RunLengths, SimError, SystemConfig};
-use noclat_bench::sweep::{self, Job, Json, Obj, SweepArgs};
+use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
 use noclat_sim::faults::{CycleWindow, RouterStall};
 use noclat_workloads::workload;
 

@@ -40,9 +40,16 @@ pub mod system;
 pub mod trace;
 pub mod watchdog;
 
+/// Version of the simulated model. Sweep journals and the `sweepd` result
+/// cache fold it into their fingerprints, so a file written by a model that
+/// produced different numbers is refused instead of served.
+///
+/// Bump it whenever the golden results are re-pinned.
+pub const MODEL_VERSION: u32 = 1;
+
 pub use experiment::{
-    alone_ipc, alone_ipc_table, canonical_core, run_mix, weighted_speedup, weighted_speedup_of,
-    AppResult, IdleStream, MixResult, RunLengths,
+    alone_config, alone_ipc, alone_ipc_table, canonical_core, run_mix, weighted_speedup,
+    weighted_speedup_of, AppResult, IdleStream, MixResult, RunLengths,
 };
 pub use messages::{MemMsg, TxnId};
 pub use metrics::{AppLatency, LatencyTracker, SegmentRow, TxnTimes};

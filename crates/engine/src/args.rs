@@ -4,11 +4,13 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use noclat::{KernelKind, PolicyOverride, RunLengths, SystemConfig, TopologyOverride};
+use noclat::{
+    KernelKind, PolicyOverride, RunLengths, SystemConfig, TopologyOverride, MODEL_VERSION,
+};
 use noclat_sim::journal::fnv1a64;
 use noclat_sim::pool::RetryPolicy;
 
-use crate::exit::exit_code;
+use crate::exit::ExitCode;
 
 /// Number of replicate shards the distribution harnesses (fig04/05/06/09/12)
 /// split their measurement into. Each shard is a full, independently seeded
@@ -295,7 +297,7 @@ impl SweepArgs {
         if !self.topology.is_empty() {
             if let Err(e) = cfg.validate() {
                 eprintln!("error: --topology: {e}");
-                std::process::exit(exit_code::CONFIG);
+                ExitCode::Config.exit();
             }
         }
     }
@@ -311,29 +313,31 @@ impl SweepArgs {
     }
 }
 
-/// Fingerprint of everything that determines a sweep's *results*: seed,
-/// simulation window, policy overrides, kernel and topology override.
+/// Fingerprint of everything that determines a sweep's *results*: the
+/// [`MODEL_VERSION`], seed, simulation window, policy overrides, kernel,
+/// topology override and prune spec (pruning decides which cells exist).
 /// Arguments that only affect execution (worker count, output paths,
 /// deadlines, retries) are deliberately excluded — a journal written with
 /// `--jobs 8` resumes fine under `--jobs 1`, and a deadline changes which
 /// cells *complete*, never what a completed cell contains.
 #[must_use]
 pub fn sweep_fingerprint(args: &SweepArgs) -> u64 {
-    let mut text = format!(
-        "seed={} warmup={} measure={} policy={:?} kernel={} topology={:?}",
+    model_fingerprint(args, MODEL_VERSION)
+}
+
+/// [`sweep_fingerprint`] as the simulator at `model_version` computes it.
+pub(crate) fn model_fingerprint(args: &SweepArgs, model_version: u32) -> u64 {
+    let text = format!(
+        "model={model_version} seed={} warmup={} measure={} policy={:?} kernel={} topology={:?} \
+         prune={}",
         args.seed,
         args.lengths.warmup,
         args.lengths.measure,
         args.policy,
         args.kernel.name(),
         args.topology,
+        args.prune,
     );
-    // Pruning decides which cells exist, so a pruned journal must never
-    // satisfy an unpruned resume. Appended only when enabled to keep every
-    // pre-pruning journal's fingerprint valid.
-    if args.prune.enabled() {
-        text.push_str(&format!(" prune={}", args.prune));
-    }
     fnv1a64(text.as_bytes())
 }
 

@@ -22,17 +22,19 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use noclat::MODEL_VERSION;
 use noclat_sim::error::JournalError;
 use noclat_sim::journal::{self, fnv1a64, Journal};
 
 /// Fingerprint pinned by `sweepd`-managed cache files. Unlike a sweep
 /// journal (whose fingerprint digests the sweep arguments), a service cache
 /// holds cells of *many* argument sets; each cell's key digests its full
-/// request instead, and the file-level fingerprint only guards against
-/// pointing the daemon at an unrelated journal.
+/// request instead, and the file-level fingerprint guards against pointing
+/// the daemon at an unrelated journal or at a cache a different
+/// [`MODEL_VERSION`] computed.
 #[must_use]
 pub fn sweepd_cache_fingerprint() -> u64 {
-    fnv1a64(b"sweepd v1")
+    fnv1a64(format!("sweepd v1 model={MODEL_VERSION}").as_bytes())
 }
 
 /// Why a cache could not be opened or written.
@@ -270,6 +272,23 @@ mod tests {
         let cache = ResultCache::open(&path, fp).unwrap();
         assert_eq!(cache.get(7), Some("[1,2]"));
         assert_eq!(cache.get(9), Some("[3]"));
+    }
+
+    #[test]
+    fn cache_from_before_the_model_version_is_refused() {
+        let path = tmp("model-version");
+        {
+            // The fingerprint every cache carried before it covered the
+            // model version.
+            let mut old = ResultCache::open(&path, fnv1a64(b"sweepd v1")).unwrap();
+            old.insert(7, "[1,2]").unwrap();
+        }
+        assert!(matches!(
+            ResultCache::open(&path, sweepd_cache_fingerprint()),
+            Err(CacheError::Journal(
+                JournalError::FingerprintMismatch { .. }
+            ))
+        ));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-use noclat::{alone_ipc, Journal, KernelKind, PolicyConfig, SimError, SystemConfig};
+use noclat::{alone_config, alone_ipc, Journal, SimError, SystemConfig};
 use noclat_analytic::AnalyticModel;
 use noclat_sim::journal::{self, fnv1a64};
 use noclat_sim::pool::{job_seed, run_jobs_supervised, Job};
@@ -400,18 +400,10 @@ pub struct AloneMap {
 }
 
 /// Cache key of a hardware configuration for alone-run purposes: the Debug
-/// rendering of the config with both schemes disabled (alone runs are
-/// scheme-independent by construction — there is nothing to contend with).
+/// rendering of the [`alone_config`] the alone run simulates.
 #[must_use]
 pub fn alone_key(cfg: &SystemConfig) -> String {
-    let mut base = cfg.clone();
-    base.scheme1.enabled = false;
-    base.scheme2.enabled = false;
-    base.policy = PolicyConfig::default();
-    // Kernels are bit-identical, so cycle- and event-kernel sweeps share
-    // their alone denominators (alone_ipc pins the default kernel too).
-    base.kernel = KernelKind::default();
-    format!("{base:?}")
+    format!("{:?}", alone_config(cfg))
 }
 
 impl AloneMap {
@@ -488,6 +480,8 @@ impl AloneMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::model_fingerprint;
+    use noclat::{JournalError, KernelKind, MODEL_VERSION};
 
     #[test]
     fn alone_key_strips_schemes_but_keeps_hardware() {
@@ -511,5 +505,32 @@ mod tests {
         let mut event = base.clone();
         event.kernel = KernelKind::Event;
         assert_eq!(alone_key(&base), alone_key(&event));
+    }
+
+    #[test]
+    fn journal_from_another_model_version_is_refused() {
+        let path = std::env::temp_dir().join(format!(
+            "noclat-grid-model-version-{}.nj",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let (mut args, _) = SweepArgs::parse_argv(&[]).unwrap();
+        args.jobs = 1;
+        args.resume = Some(path.clone());
+        let stale = model_fingerprint(&args, MODEL_VERSION + 1);
+        {
+            let (mut journal, _) = Journal::open(&path, stale).unwrap();
+            let payload = 1.0_f64.encode_cell().to_compact_string();
+            journal.append(job_key(stale, "cell"), &payload).unwrap();
+        }
+        let jobs = vec![Job::new("cell", || 2.0_f64)];
+        match try_run_grid(&args, jobs) {
+            Err(SimError::Journal(JournalError::FingerprintMismatch { found, .. })) => {
+                assert_eq!(found, stale);
+            }
+            Err(other) => panic!("expected a fingerprint mismatch, got {other}"),
+            Ok(cells) => panic!("a stale journal was served: {cells:?}"),
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -35,13 +35,10 @@ pub mod json;
 pub mod report;
 pub mod server;
 
-// Flat re-exports preserving the original `bench::sweep` surface, so the
-// 27 figure binaries and the compatibility `pub use` in `noclat-bench`
-// keep exactly the paths they had before the extraction.
 pub use args::{job_key, sweep_fingerprint, PruneSpec, SweepArgs, DEFAULT_SHARDS, SWEEP_USAGE};
 pub use cache::{read_snapshot, sweepd_cache_fingerprint, CacheError, ResultCache};
 pub use codec::CellCodec;
-pub use exit::{exit_code, ExitCode};
+pub use exit::ExitCode;
 pub use grid::{
     alone_key, run_grid, run_pruned_grid, run_shards, try_run_grid, try_run_pruned_grid, AloneMap,
     GridCell, PruneInfo, PruneOutcome, PrunedResults,
