@@ -36,7 +36,10 @@
 //!   bank idle (≈ `1 - ρ_bank`). The class split changes per-class
 //!   latency; by the conservation law it barely moves the mean, so the
 //!   schemes' measured mean-latency gains enter as small calibrated
-//!   multipliers on the queueing delay ([`Coefficients`]).
+//!   multipliers on the queueing delay ([`Coefficients`]). A scheme is modelled when the
+//!   resolved policy slot names it (`SystemConfig::request_policy` /
+//!   `response_policy`); the oldest-first and static policies have no
+//!   closed form here and are modelled as the baseline.
 //! * **Stability.** With no measurement horizon, offered load beyond any
 //!   channel's or controller's capacity is [`Stability::Unstable`] and the
 //!   open-loop latency diverges. With a horizon `W` (a real run's measure
@@ -46,7 +49,7 @@
 //!   reports the window as the binding constraint.
 
 use noclat_noc::topology::{Dir, NodeId, Topology};
-use noclat_sim::config::{ConfigError, SystemConfig};
+use noclat_sim::config::{ConfigError, RequestPolicyKind, ResponsePolicyKind, SystemConfig};
 use noclat_sim::Cycle;
 use noclat_workloads::SpecApp;
 
@@ -540,16 +543,21 @@ impl AnalyticModel {
 
     // -- operating-point queries ------------------------------------------
 
-    /// Scheme-1 activity: enabled and the run long enough for the first
-    /// periodic threshold update to fire.
+    /// Scheme-1 activity: the response slot resolves to Scheme-1 and the
+    /// run is long enough for the first periodic threshold update to fire.
     fn scheme1_active(&self) -> bool {
-        if !self.cfg.scheme1.enabled {
+        if self.cfg.response_policy() != ResponsePolicyKind::Scheme1 {
             return false;
         }
         match (self.warmup, self.measure) {
             (Some(w), Some(m)) => w + m >= self.cfg.scheme1.update_period,
             _ => true,
         }
+    }
+
+    /// Scheme-2 activity: the request slot resolves to Scheme-2.
+    fn scheme2_active(&self) -> bool {
+        self.cfg.request_policy() == RequestPolicyKind::Scheme2
     }
 
     /// Fraction of responses promoted by Scheme 1 (exponential so-far
@@ -574,7 +582,7 @@ impl AnalyticModel {
     /// Fraction of memory requests promoted by Scheme 2 (probability the
     /// target bank looks idle in the history window).
     fn p_high_req(&self, s: f64) -> f64 {
-        if self.cfg.scheme2.enabled {
+        if self.scheme2_active() {
             (1.0 - self.bank_rho(s)).clamp(0.0, 1.0)
         } else {
             0.0
@@ -736,7 +744,7 @@ impl AnalyticModel {
         if self.scheme1_active() {
             gain *= 1.0 - self.coeffs.scheme1_gain;
         }
-        if self.cfg.scheme2.enabled {
+        if self.scheme2_active() {
             gain *= 1.0 - self.coeffs.scheme2_gain;
         }
         let mut q = q_mean * gain;
@@ -909,5 +917,32 @@ mod tests {
         assert!(s2.mean_latency < base.mean_latency);
         // And the expedited class beats the normal class.
         assert!(s2.class_latency.high <= s2.class_latency.low);
+    }
+
+    /// The model follows the resolved policy slots, not the scheme flags:
+    /// naming the schemes with the flags off is the both-schemes cell, and
+    /// naming the baseline with the flags on is the baseline cell.
+    #[test]
+    fn model_reads_the_resolved_policies() {
+        let apps = workload(2).apps();
+        let report = |cfg: &SystemConfig| {
+            AnalyticModel::new(cfg, &apps)
+                .unwrap()
+                .with_lengths(300, 12_000)
+                .evaluate()
+        };
+        let base = SystemConfig::baseline_32();
+        let both = base.clone().with_both_schemes();
+
+        let mut named = base.clone();
+        named.policy.request = Some(RequestPolicyKind::Scheme2);
+        named.policy.response = Some(ResponsePolicyKind::Scheme1);
+        assert_eq!(report(&named), report(&both));
+
+        let mut neutralized = both.clone();
+        neutralized.policy.request = Some(RequestPolicyKind::Baseline);
+        neutralized.policy.response = Some(ResponsePolicyKind::Baseline);
+        assert_eq!(report(&neutralized), report(&base));
+        assert_ne!(report(&base), report(&both));
     }
 }

@@ -13,7 +13,7 @@
 //! so `--warmup`/`--measure`/`quick` are ignored. Writes
 //! `BENCH_analytic.json` (override with `--json PATH`).
 
-use noclat::{run_mix, RunLengths, SystemConfig, TopologyOverride};
+use noclat::{run_mix, RunLengths, SchemePreset, SystemConfig, TopologyOverride};
 use noclat_analytic::AnalyticModel;
 use noclat_bench::{banner, merged_latency_histogram, w};
 use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
@@ -21,18 +21,6 @@ use noclat_workloads::SpecApp;
 
 /// Workload driving every golden cell.
 const WORKLOAD: usize = 2;
-
-const SCHEMES: [&str; 4] = ["baseline", "s1", "s2", "both"];
-
-fn with_scheme(base: &SystemConfig, scheme: &str) -> SystemConfig {
-    match scheme {
-        "baseline" => base.clone(),
-        "s1" => base.clone().with_scheme1(),
-        "s2" => base.clone().with_scheme2(),
-        "both" => base.clone().with_both_schemes(),
-        other => unreachable!("unknown scheme {other}"),
-    }
-}
 
 /// One golden family: a base config, its placement and its pinned window.
 fn families() -> Vec<(&'static str, SystemConfig, Vec<SpecApp>, RunLengths)> {
@@ -69,8 +57,9 @@ fn main() {
     let mut estimates = Vec::new();
     let mut labels = Vec::new();
     for (family, base, apps, lengths) in families() {
-        for scheme in SCHEMES {
-            let cfg = with_scheme(&base, scheme);
+        for &preset in SchemePreset::ALL {
+            let scheme = preset.name();
+            let cfg = preset.apply(base.clone());
             let model = AnalyticModel::new(&cfg, &apps)
                 .expect("golden configs validate")
                 .with_lengths(lengths.warmup, lengths.measure);

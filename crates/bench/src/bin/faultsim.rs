@@ -20,7 +20,7 @@
 //! exceeded `--job-timeout`, 5 transactions were lost (watchdog/liveness
 //! regression).
 
-use noclat::{run_mix, FaultPlan, SystemConfig};
+use noclat::{run_mix, FaultPlan, SchemePreset, SystemConfig};
 use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
 use noclat_workloads::workload;
 
@@ -29,19 +29,6 @@ const USAGE: &str = "faultsim [--jobs N] [--json PATH] [--workload 1..18] [--war
      [--kernel cycle|event] [--resume PATH] [--job-timeout SECS] [--retries N]";
 
 const DROP_RATES: [f64; 4] = [0.0, 1e-5, 1e-4, 1e-3];
-const SCHEMES: [&str; 4] = ["baseline", "s1", "s2", "both"];
-
-fn scheme_config(name: &str) -> SystemConfig {
-    let mut cfg = SystemConfig::baseline_32();
-    match name {
-        "baseline" => {}
-        "s1" => cfg.scheme1.enabled = true,
-        "s2" => cfg.scheme2.enabled = true,
-        "both" => cfg = cfg.with_both_schemes(),
-        other => unreachable!("unknown scheme {other}"),
-    }
-    cfg
-}
 
 /// One sweep cell: completed off-chip accesses, aggregate IPC, and the
 /// robustness counters.
@@ -116,16 +103,16 @@ fn main() {
     );
 
     let mut jobs = Vec::new();
-    for scheme in SCHEMES {
+    for &scheme in SchemePreset::ALL {
         for &rate in &DROP_RATES {
             let apps = apps.clone();
             let seed = args.seed;
-            let policy = args.policy.clone();
+            let policy = args.policy;
             let kernel = args.kernel;
             jobs.push(Job::new(
-                format!("faultsim/{scheme}/{rate:e}"),
+                format!("faultsim/{}/{rate:e}", scheme.name()),
                 move || -> Cell {
-                    let mut cfg = scheme_config(scheme);
+                    let mut cfg = scheme.apply(SystemConfig::baseline_32());
                     cfg.seed = seed;
                     policy.apply(&mut cfg);
                     cfg.kernel = kernel;
@@ -153,7 +140,8 @@ fn main() {
 
     let mut all_retired = true;
     let mut cells_json = Vec::new();
-    for (k, scheme) in SCHEMES.iter().enumerate() {
+    for (k, scheme) in SchemePreset::ALL.iter().enumerate() {
+        let scheme = scheme.name();
         for (j, &rate) in DROP_RATES.iter().enumerate() {
             let (offchip, ipc, dropped, retries, timeouts, lost, violations) =
                 cells[k * DROP_RATES.len() + j];
@@ -166,7 +154,7 @@ fn main() {
             );
             cells_json.push(
                 Obj::new()
-                    .field("scheme", *scheme)
+                    .field("scheme", scheme)
                     .field("drop_rate", rate)
                     .field("offchip", offchip)
                     .field("ipc", ipc)

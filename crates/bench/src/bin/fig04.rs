@@ -23,7 +23,7 @@ fn main() {
         "Columns: delay range start | count | L1->L2 | L2->Mem | Mem | Mem->L2 | L2->L1",
     );
     let lengths = args.lengths;
-    let policy = args.policy.clone();
+    let policy = args.policy;
     let kernel = args.kernel;
     let shards = sweep::run_shards(&args, "fig04/w2", DEFAULT_SHARDS, move |_, seed| {
         let mut cfg = SystemConfig::baseline_32();

@@ -20,7 +20,7 @@ fn main() {
         "Columns: delay bin center | fraction of accesses | bar",
     );
     let lengths = args.lengths;
-    let policy = args.policy.clone();
+    let policy = args.policy;
     let kernel = args.kernel;
     let shards = sweep::run_shards(&args, "fig05/w2", DEFAULT_SHARDS, move |_, seed| {
         let mut cfg = SystemConfig::baseline_32();

@@ -21,7 +21,7 @@ fn main() {
         "A bank is idle when its queue is empty at a sampling instant.",
     );
     let lengths = args.lengths;
-    let policy = args.policy.clone();
+    let policy = args.policy;
     let kernel = args.kernel;
     let shards = sweep::run_shards(&args, "fig06/w2", DEFAULT_SHARDS, move |_, seed| {
         let mut cfg = SystemConfig::baseline_32();

@@ -24,7 +24,7 @@ fn main() {
         "Columns: bin center | round-trip fraction | so-far fraction",
     );
     let lengths = args.lengths;
-    let policy = args.policy.clone();
+    let policy = args.policy;
     let kernel = args.kernel;
     let shards = sweep::run_shards(&args, "fig09/w2", DEFAULT_SHARDS, move |_, seed| {
         let mut cfg = SystemConfig::baseline_32();

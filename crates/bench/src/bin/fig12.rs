@@ -61,7 +61,7 @@ fn main() {
         for s in 0..DEFAULT_SHARDS {
             let seed = job_seed(args.seed, s); // paired across variants
             let apps = apps.clone();
-            let policy = args.policy.clone();
+            let policy = args.policy;
             let kernel = args.kernel;
             let label = if scheme1 { "fig12/s1" } else { "fig12/base" };
             jobs.push(Job::new(format!("{label}/shard-{s}"), move || {

@@ -25,7 +25,7 @@ fn main() {
     for &widx in &WORKLOADS {
         for scheme2 in [false, true] {
             let seed = args.seed;
-            let policy = args.policy.clone();
+            let policy = args.policy;
             let kernel = args.kernel;
             let label = if scheme2 { "scheme2" } else { "default" };
             jobs.push(Job::new(format!("fig14/w{widx}/{label}"), move || {

@@ -55,7 +55,7 @@ fn main() {
     for (label, algo) in algos {
         let apps = apps.clone();
         let seed = args.seed;
-        let policy = args.policy.clone();
+        let policy = args.policy;
         let kernel = args.kernel;
         jobs.push(Job::new(format!("netmap/{label}"), move || {
             let mut cfg = SystemConfig::baseline_32();

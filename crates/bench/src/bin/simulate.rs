@@ -1,7 +1,7 @@
 //! General-purpose CLI front end for the simulator.
 //!
 //! ```text
-//! simulate [--workload N] [--scheme none|s1|s2|both] [--cores 16|32]
+//! simulate [--workload N] [--scheme baseline|s1|s2|both] [--cores 16|32]
 //!          [--warmup CYCLES] [--measure CYCLES] [--seed SEED]
 //!          [--routing xy|yx] [--sched frfcfs|frfcfs-cap|fcfs]
 //!          [--policy req=NAME,resp=NAME,arb=NAME] [--kernel cycle|event]
@@ -13,12 +13,12 @@
 //! `--json PATH` additionally writes the per-application numbers as a
 //! structured report.
 
-use noclat::{run_mix, MemSchedPolicy, SystemConfig, SystemReport};
+use noclat::{run_mix, MemSchedPolicy, SchemePreset, SystemConfig, SystemReport};
 use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
 use noclat_sim::config::RoutingAlgorithm;
 use noclat_workloads::workload;
 
-const USAGE: &str = "simulate [--workload 1..18] [--scheme none|s1|s2|both] \
+const USAGE: &str = "simulate [--workload 1..18] [--scheme baseline|s1|s2|both] \
      [--cores 16|32] [--warmup N] [--measure N] [--seed N] \
      [--routing xy|yx] [--sched frfcfs|frfcfs-cap|fcfs] \
      [--policy req=NAME,resp=NAME,arb=NAME] [--kernel cycle|event] \
@@ -26,7 +26,7 @@ const USAGE: &str = "simulate [--workload 1..18] [--scheme none|s1|s2|both] \
 
 struct Extra {
     workload: usize,
-    scheme: String,
+    scheme: SchemePreset,
     cores: usize,
     routing: String,
     sched: String,
@@ -35,7 +35,7 @@ struct Extra {
 fn parse_extra(rest: &[String]) -> Result<Extra, String> {
     let mut extra = Extra {
         workload: 2,
-        scheme: "both".into(),
+        scheme: SchemePreset::Both,
         cores: 32,
         routing: "xy".into(),
         sched: "frfcfs".into(),
@@ -49,7 +49,7 @@ fn parse_extra(rest: &[String]) -> Result<Extra, String> {
         };
         match key {
             "--workload" => extra.workload = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--scheme" => extra.scheme = value()?.clone(),
+            "--scheme" => extra.scheme = SchemePreset::parse(value()?)?,
             "--cores" => extra.cores = value()?.parse().map_err(|e| format!("{e}"))?,
             "--routing" => extra.routing = value()?.clone(),
             "--sched" => extra.sched = value()?.clone(),
@@ -87,7 +87,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let mut cfg = match extra.cores {
+    let cfg = match extra.cores {
         32 => SystemConfig::baseline_32(),
         16 => SystemConfig::baseline_16(),
         n => {
@@ -95,16 +95,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    match extra.scheme.as_str() {
-        "none" => {}
-        "s1" => cfg.scheme1.enabled = true,
-        "s2" => cfg.scheme2.enabled = true,
-        "both" => cfg = cfg.with_both_schemes(),
-        other => {
-            eprintln!("error: unknown scheme {other}");
-            std::process::exit(2);
-        }
-    }
+    let mut cfg = extra.scheme.apply(cfg);
     cfg.noc.routing = match extra.routing.as_str() {
         "xy" => RoutingAlgorithm::XY,
         "yx" => RoutingAlgorithm::YX,
@@ -136,15 +127,15 @@ fn main() {
     } else {
         w.apps()
     };
-    let req_policy = cfg.policy.request_name(cfg.scheme2.enabled).to_string();
-    let resp_policy = cfg.policy.response_name(cfg.scheme1.enabled).to_string();
+    let req_policy = cfg.request_policy().name();
+    let resp_policy = cfg.response_policy().name();
     println!(
         "simulating {} ({:?}) on {} cores, scheme={}, policy={req_policy}/{resp_policy}, \
          routing={}, sched={}, {}+{} cycles",
         w.name(),
         w.kind,
         extra.cores,
-        extra.scheme,
+        extra.scheme.name(),
         extra.routing,
         extra.sched,
         args.lengths.warmup,
@@ -181,7 +172,7 @@ fn main() {
         &args,
         Obj::new()
             .field("workload", extra.workload)
-            .field("scheme", extra.scheme)
+            .field("scheme", extra.scheme.name())
             .field("request_policy", req_policy)
             .field("response_policy", resp_policy)
             .field("cores", extra.cores)

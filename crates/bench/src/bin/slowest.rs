@@ -58,7 +58,7 @@ fn main() {
     for scheme1 in [false, true] {
         let apps = apps.clone();
         let seed = args.seed;
-        let policy = args.policy.clone();
+        let policy = args.policy;
         let kernel = args.kernel;
         let label = if scheme1 { "s1" } else { "base" };
         jobs.push(Job::new(format!("slowest/{label}"), move || {

@@ -11,15 +11,15 @@
 //! grid instead (CI smokes a single torus cell that way). Output is
 //! byte-identical across `--jobs N` by the sweep engine's construction.
 
-use noclat::{run_mix, McPlacement, RunLengths, SystemConfig, TopologyKind, TopologyOverride};
+use noclat::{
+    run_mix, McPlacement, RunLengths, SchemePreset, SystemConfig, TopologyKind, TopologyOverride,
+};
 use noclat_bench::{banner, merged_latency_histogram, w};
 use noclat_engine::{self as sweep, ExitCode, GridCell, Job, Json, Obj, PruneInfo, SweepArgs};
 use noclat_workloads::SpecApp;
 
 /// Workload driving every cell (the paper's milc-bearing mixed workload).
 const WORKLOAD: usize = 2;
-
-const SCHEMES: [&str; 4] = ["baseline", "s1", "s2", "both"];
 
 /// Default fabric axis, as `--topology`-style override specs.
 const FABRICS: [&str; 4] = ["mesh", "torus", "cmesh:c=4", "express:skip=2"];
@@ -88,16 +88,6 @@ fn base_config(size: u16) -> SystemConfig {
     }
 }
 
-fn with_scheme(base: &SystemConfig, scheme: &str) -> SystemConfig {
-    match scheme {
-        "baseline" => base.clone(),
-        "s1" => base.clone().with_scheme1(),
-        "s2" => base.clone().with_scheme2(),
-        "both" => base.clone().with_both_schemes(),
-        other => unreachable!("unknown scheme {other}"),
-    }
-}
-
 /// One cell's metrics: (offchip, ipc_sum, mean_latency, p95_latency).
 type Cell = (u64, f64, f64, u64);
 
@@ -139,8 +129,9 @@ fn main() {
         for spec in &grid.fabrics {
             let ov = TopologyOverride::parse(spec).unwrap_or_else(|e| fail_usage(&e));
             for &mc in &grid.mcs {
-                for scheme in SCHEMES {
-                    let mut cfg = with_scheme(&base, scheme);
+                for &preset in SchemePreset::ALL {
+                    let scheme = preset.name();
+                    let mut cfg = preset.apply(base.clone());
                     args.policy.apply(&mut cfg);
                     cfg.kernel = args.kernel;
                     ov.apply(&mut cfg);

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use noclat::{JournalError, SimError, SystemConfig};
+use noclat::{JournalError, SchemePreset, SimError, SystemConfig};
 use noclat_engine::{
     self as sweep, ExitCode, GridCell, Job, Json, Obj, PruneInfo, PruneSpec, SweepArgs,
 };
@@ -250,16 +250,12 @@ fn timeout_and_retry_wire_through_sweep_args() {
 fn prune_cells(runs: &Arc<AtomicUsize>, pin_baseline: bool) -> Vec<GridCell<(u64, f64)>> {
     let base = SystemConfig::baseline_16();
     let apps = workload(2).apps_for(base.num_cores());
-    ["baseline", "s1", "s2", "both"]
+    SchemePreset::ALL
         .iter()
         .enumerate()
-        .map(|(i, scheme)| {
-            let cfg = match *scheme {
-                "baseline" => base.clone(),
-                "s1" => base.clone().with_scheme1(),
-                "s2" => base.clone().with_scheme2(),
-                _ => base.clone().with_both_schemes(),
-            };
+        .map(|(i, preset)| {
+            let scheme = preset.name();
+            let cfg = preset.apply(base.clone());
             let runs = Arc::clone(runs);
             GridCell {
                 job: Job::new(format!("prune/{scheme}"), move || {

@@ -9,20 +9,19 @@
 //!    controller gives a reply it is about to inject (the Scheme-1 site),
 //!    plus the side-channel Scheme-1 needs — periodic threshold updates,
 //!    threshold installation at the controllers, and round-trip feedback.
-//! 3. **Arbitration** (`noclat_noc::ArbitrationPolicy`): how routers rank
-//!    competing flits in VC/switch allocation, including the starvation
-//!    age guard.
+//! 3. **Arbitration** ([`noclat_sim::config::StarvationPolicy`], keyed by
+//!    `noclat_noc::arbiter::key_for`): how routers rank competing flits in
+//!    VC/switch allocation, including the starvation age guard.
 //!
-//! Policies are resolved by string name from
-//! [`noclat_sim::config::PolicyConfig`]; the name lists live in
-//! `crates/sim/src/config.rs` (`REQUEST_POLICIES` / `RESPONSE_POLICIES`) so
-//! configuration validation can reject unknown names without this crate.
-//! An unset name derives from the scheme flags, which keeps pre-existing
+//! Each seam is named by a closed enum in `crates/sim/src/config.rs`
+//! (`RequestPolicyKind`, `ResponsePolicyKind`, `StarvationPolicy`), and
+//! [`SystemConfig::request_policy`] / [`SystemConfig::response_policy`]
+//! resolve an unset slot from the scheme flags, which keeps pre-existing
 //! configurations — including the golden-result suite — byte-identical.
+//! The builders below map a kind to its policy object.
 
 use noclat_noc::Priority;
-use noclat_sim::config::{ConfigError, SystemConfig};
-use noclat_sim::error::SimError;
+use noclat_sim::config::{RequestPolicyKind, ResponsePolicyKind, SystemConfig};
 use noclat_sim::stats::Ewma;
 use noclat_sim::Cycle;
 
@@ -36,9 +35,6 @@ const OLDEST_FIRST_ALPHA: f64 = 0.05;
 /// Decision point 1: the priority an L2 miss gets when it is injected into
 /// the request network toward a memory controller.
 pub trait RequestPolicy: std::fmt::Debug + Send {
-    /// Registry name of this policy.
-    fn name(&self) -> &'static str;
-
     /// Decides the injection priority of an off-chip request leaving the L2
     /// bank at `node`, issued by `core`, targeting global DRAM `bank`, with
     /// so-far delay `age`. Called exactly once per injected request (a
@@ -59,9 +55,6 @@ pub trait RequestPolicy: std::fmt::Debug + Send {
 /// The update hooks default to no-ops so stateless policies implement only
 /// [`ResponsePolicy::response_priority`].
 pub trait ResponsePolicy: std::fmt::Debug + Send {
-    /// Registry name of this policy.
-    fn name(&self) -> &'static str;
-
     /// Threshold updates to broadcast this cycle, as `(core, threshold)`
     /// pairs; an empty vector means no messages (and no network activity).
     /// Called once per cycle before the network ticks.
@@ -107,18 +100,12 @@ pub trait ResponsePolicy: std::fmt::Debug + Send {
 pub struct BaselinePolicy;
 
 impl RequestPolicy for BaselinePolicy {
-    fn name(&self) -> &'static str {
-        "baseline"
-    }
     fn request_priority(&mut self, _: usize, _: usize, _: usize, _: u32, _: Cycle) -> Priority {
         Priority::Normal
     }
 }
 
 impl ResponsePolicy for BaselinePolicy {
-    fn name(&self) -> &'static str {
-        "baseline"
-    }
     fn response_priority(&mut self, _: usize, _: usize, _: u32, _: Cycle) -> Priority {
         Priority::Normal
     }
@@ -145,9 +132,6 @@ impl Scheme2Policy {
 }
 
 impl RequestPolicy for Scheme2Policy {
-    fn name(&self) -> &'static str {
-        "scheme2"
-    }
     fn request_priority(
         &mut self,
         node: usize,
@@ -191,9 +175,6 @@ impl Scheme1Policy {
 }
 
 impl ResponsePolicy for Scheme1Policy {
-    fn name(&self) -> &'static str {
-        "scheme1"
-    }
     fn poll_updates(&mut self, now: Cycle) -> Vec<(usize, u32)> {
         if !self.s1.update_due(now) {
             return Vec::new();
@@ -263,18 +244,12 @@ impl OldestFirstPolicy {
 }
 
 impl RequestPolicy for OldestFirstPolicy {
-    fn name(&self) -> &'static str {
-        "oldest-first"
-    }
     fn request_priority(&mut self, _: usize, _: usize, _: usize, age: u32, _: Cycle) -> Priority {
         self.decide(age)
     }
 }
 
 impl ResponsePolicy for OldestFirstPolicy {
-    fn name(&self) -> &'static str {
-        "oldest-first"
-    }
     fn response_priority(&mut self, _: usize, _: usize, so_far_delay: u32, _: Cycle) -> Priority {
         self.decide(so_far_delay)
     }
@@ -308,112 +283,118 @@ impl StaticPolicy {
 }
 
 impl RequestPolicy for StaticPolicy {
-    fn name(&self) -> &'static str {
-        "static"
-    }
     fn request_priority(&mut self, _: usize, _: usize, core: usize, _: u32, _: Cycle) -> Priority {
         self.decide(core)
     }
 }
 
 impl ResponsePolicy for StaticPolicy {
-    fn name(&self) -> &'static str {
-        "static"
-    }
     fn response_priority(&mut self, _: usize, core: usize, _: u32, _: Cycle) -> Priority {
         self.decide(core)
     }
 }
 
-/// Resolves the configuration's request-policy name to a policy object.
-///
-/// # Errors
-///
-/// Returns [`SimError::Config`] with [`ConfigError::UnknownPolicy`] for a
-/// name outside the registry ([`SystemConfig::validate`] normally rejects
-/// these earlier).
-pub fn build_request_policy(
-    cfg: &SystemConfig,
-    total_banks: usize,
-) -> Result<Box<dyn RequestPolicy>, SimError> {
-    let name = cfg.policy.request_name(cfg.scheme2.enabled);
-    Ok(match name {
-        "baseline" => Box::new(BaselinePolicy),
-        "scheme2" => Box::new(Scheme2Policy::new(cfg, total_banks)),
-        "oldest-first" => Box::new(OldestFirstPolicy::new(cfg)),
-        "static" => Box::new(StaticPolicy::new(cfg)),
-        other => {
-            return Err(SimError::Config(ConfigError::UnknownPolicy {
-                slot: "request",
-                name: other.to_string(),
-            }))
-        }
-    })
+/// Builds the request-injection policy `cfg` resolves to
+/// ([`SystemConfig::request_policy`]).
+#[must_use]
+pub fn build_request_policy(cfg: &SystemConfig, total_banks: usize) -> Box<dyn RequestPolicy> {
+    match cfg.request_policy() {
+        RequestPolicyKind::Baseline => Box::new(BaselinePolicy),
+        RequestPolicyKind::Scheme2 => Box::new(Scheme2Policy::new(cfg, total_banks)),
+        RequestPolicyKind::OldestFirst => Box::new(OldestFirstPolicy::new(cfg)),
+        RequestPolicyKind::Static => Box::new(StaticPolicy::new(cfg)),
+    }
 }
 
-/// Resolves the configuration's response-policy name to a policy object.
-///
-/// # Errors
-///
-/// Returns [`SimError::Config`] with [`ConfigError::UnknownPolicy`] for a
-/// name outside the registry.
-pub fn build_response_policy(cfg: &SystemConfig) -> Result<Box<dyn ResponsePolicy>, SimError> {
-    let name = cfg.policy.response_name(cfg.scheme1.enabled);
-    Ok(match name {
-        "baseline" => Box::new(BaselinePolicy),
-        "scheme1" => Box::new(Scheme1Policy::new(cfg)),
-        "oldest-first" => Box::new(OldestFirstPolicy::new(cfg)),
-        "static" => Box::new(StaticPolicy::new(cfg)),
-        other => {
-            return Err(SimError::Config(ConfigError::UnknownPolicy {
-                slot: "response",
-                name: other.to_string(),
-            }))
-        }
-    })
+/// Builds the response-injection policy `cfg` resolves to
+/// ([`SystemConfig::response_policy`]).
+#[must_use]
+pub fn build_response_policy(cfg: &SystemConfig) -> Box<dyn ResponsePolicy> {
+    match cfg.response_policy() {
+        ResponsePolicyKind::Baseline => Box::new(BaselinePolicy),
+        ResponsePolicyKind::Scheme1 => Box::new(Scheme1Policy::new(cfg)),
+        ResponsePolicyKind::OldestFirst => Box::new(OldestFirstPolicy::new(cfg)),
+        ResponsePolicyKind::Static => Box::new(StaticPolicy::new(cfg)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noclat_sim::config::{PolicyConfig, REQUEST_POLICIES, RESPONSE_POLICIES};
+    use noclat_sim::config::{PolicyOverride, SchemePreset, StarvationPolicy};
 
     fn cfg() -> SystemConfig {
         SystemConfig::baseline_32()
     }
 
-    #[test]
-    fn registry_resolves_every_listed_name() {
-        for &name in REQUEST_POLICIES {
-            let mut c = cfg();
-            c.policy.request = Some(name.to_string());
-            let p = build_request_policy(&c, 64).expect("listed name resolves");
-            assert_eq!(p.name(), name);
-        }
-        for &name in RESPONSE_POLICIES {
-            let mut c = cfg();
-            c.policy.response = Some(name.to_string());
-            let p = build_response_policy(&c).expect("listed name resolves");
-            assert_eq!(p.name(), name);
-        }
+    /// The message a `parse` failure ends with: every name in `ALL`.
+    fn known<T>(all: &[T], name: impl Fn(&T) -> String) -> String {
+        let names: Vec<String> = all.iter().map(name).collect();
+        format!("(known: {})", names.join(", "))
     }
 
     #[test]
-    fn default_names_follow_scheme_flags() {
-        let c = cfg();
-        assert_eq!(build_request_policy(&c, 64).unwrap().name(), "baseline");
-        assert_eq!(build_response_policy(&c).unwrap().name(), "baseline");
-        let c = cfg().with_both_schemes();
-        assert_eq!(build_request_policy(&c, 64).unwrap().name(), "scheme2");
-        assert_eq!(build_response_policy(&c).unwrap().name(), "scheme1");
-        // Explicit names beat the flags.
-        let mut c = cfg().with_both_schemes();
-        c.policy = PolicyConfig {
-            request: Some("baseline".to_string()),
-            response: Some("baseline".to_string()),
-        };
-        assert_eq!(build_request_policy(&c, 64).unwrap().name(), "baseline");
-        assert_eq!(build_response_policy(&c).unwrap().name(), "baseline");
+    fn registry_resolves_every_listed_name() {
+        for &kind in RequestPolicyKind::ALL {
+            assert_eq!(RequestPolicyKind::parse(kind.name()), Ok(kind));
+            let mut c = cfg();
+            c.policy.request = Some(kind);
+            let built = format!("{:?}", build_request_policy(&c, 64));
+            let want = match kind {
+                RequestPolicyKind::Baseline => "BaselinePolicy",
+                RequestPolicyKind::Scheme2 => "Scheme2Policy",
+                RequestPolicyKind::OldestFirst => "OldestFirstPolicy",
+                RequestPolicyKind::Static => "StaticPolicy",
+            };
+            assert!(built.starts_with(want), "{}: built {built}", kind.name());
+        }
+        for &kind in ResponsePolicyKind::ALL {
+            assert_eq!(ResponsePolicyKind::parse(kind.name()), Ok(kind));
+            let mut c = cfg();
+            c.policy.response = Some(kind);
+            let built = format!("{:?}", build_response_policy(&c));
+            let want = match kind {
+                ResponsePolicyKind::Baseline => "BaselinePolicy",
+                ResponsePolicyKind::Scheme1 => "Scheme1Policy",
+                ResponsePolicyKind::OldestFirst => "OldestFirstPolicy",
+                ResponsePolicyKind::Static => "StaticPolicy",
+            };
+            assert!(built.starts_with(want), "{}: built {built}", kind.name());
+        }
+        for &preset in SchemePreset::ALL {
+            assert_eq!(SchemePreset::parse(preset.name()), Ok(preset));
+        }
+        for arb in StarvationPolicy::ALL
+            .iter()
+            .copied()
+            .chain([StarvationPolicy::Batching { interval: 64 }])
+        {
+            assert_eq!(StarvationPolicy::parse(&arb.name()), Ok(arb));
+            let spec = format!("arb={}", arb.name());
+            assert_eq!(PolicyOverride::parse(&spec).unwrap().arbitration, Some(arb));
+        }
+
+        // A rejected name is answered with exactly the `ALL` list.
+        let err = PolicyOverride::parse("req=fifo").unwrap_err();
+        assert!(
+            err.ends_with(&known(RequestPolicyKind::ALL, |k| k.name().into())),
+            "{err}"
+        );
+        let err = PolicyOverride::parse("resp=scheme2").unwrap_err();
+        assert!(
+            err.ends_with(&known(ResponsePolicyKind::ALL, |k| k.name().into())),
+            "{err}"
+        );
+        let err = PolicyOverride::parse("arb=lottery").unwrap_err();
+        assert!(
+            err.ends_with(&known(StarvationPolicy::ALL, |p| p.name())),
+            "{err}"
+        );
+        let err = SchemePreset::parse("none").unwrap_err();
+        assert!(
+            err.ends_with(&known(SchemePreset::ALL, |p| p.name().into())),
+            "{err}"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! handle.
 //!
 //! [`SimulationBuilder`] collects everything a run needs — configuration,
-//! kernel strategy, policies (by registry name or as a parsed
+//! kernel strategy, policies (by kind or as a parsed
 //! [`PolicyOverride`]), fault plan, workload and probes — in one fluent
 //! chain, validates the combination once, and yields a [`Simulation`]. The
 //! handle owns the assembled [`System`] and exposes run control
@@ -24,7 +24,10 @@
 
 use noclat_cpu::InstrStream;
 use noclat_sim::cancel::CancelToken;
-use noclat_sim::config::{KernelKind, PolicyOverride, StarvationPolicy, SystemConfig};
+use noclat_sim::config::{
+    KernelKind, PolicyOverride, RequestPolicyKind, ResponsePolicyKind, StarvationPolicy,
+    SystemConfig,
+};
 use noclat_sim::error::SimError;
 use noclat_sim::faults::FaultPlan;
 use noclat_sim::Cycle;
@@ -102,21 +105,17 @@ impl SimulationBuilder {
         self
     }
 
-    /// Selects the request-injection policy by registry name (see
-    /// `REQUEST_POLICIES`); unknown names are rejected at
-    /// [`SimulationBuilder::build`].
+    /// Selects the request-injection policy, overriding the scheme flags.
     #[must_use]
-    pub fn request_policy(mut self, name: &str) -> Self {
-        self.cfg.policy.request = Some(name.to_string());
+    pub fn request_policy(mut self, kind: RequestPolicyKind) -> Self {
+        self.cfg.policy.request = Some(kind);
         self
     }
 
-    /// Selects the response-injection policy by registry name (see
-    /// `RESPONSE_POLICIES`); unknown names are rejected at
-    /// [`SimulationBuilder::build`].
+    /// Selects the response-injection policy, overriding the scheme flags.
     #[must_use]
-    pub fn response_policy(mut self, name: &str) -> Self {
-        self.cfg.policy.response = Some(name.to_string());
+    pub fn response_policy(mut self, kind: ResponsePolicyKind) -> Self {
+        self.cfg.policy.response = Some(kind);
         self
     }
 
@@ -318,16 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn build_rejects_unknown_policy_names() {
-        let err = Simulation::builder(SystemConfig::baseline_32())
-            .request_policy("no-such-policy")
-            .workload(&apps())
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, SimError::Config(_)), "got {err:?}");
-    }
-
-    #[test]
     fn run_until_is_absolute_and_monotone() {
         let mut sim = Simulation::builder(SystemConfig::baseline_32())
             .workload(&apps())
@@ -342,15 +331,16 @@ mod tests {
     }
 
     #[test]
-    fn builder_attaches_policies_by_name() {
+    fn builder_attaches_policies_by_kind() {
         let sim = Simulation::builder(SystemConfig::baseline_32())
-            .request_policy("oldest-first")
-            .response_policy("static")
+            .request_policy(RequestPolicyKind::OldestFirst)
+            .response_policy(ResponsePolicyKind::Static)
             .workload(&apps())
             .build()
             .expect("valid");
-        assert_eq!(sim.system().request_policy_name(), "oldest-first");
-        assert_eq!(sim.system().response_policy_name(), "static");
+        let cfg = sim.system().config();
+        assert_eq!(cfg.request_policy(), RequestPolicyKind::OldestFirst);
+        assert_eq!(cfg.response_policy(), ResponsePolicyKind::Static);
     }
 
     #[test]

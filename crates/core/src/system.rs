@@ -11,8 +11,8 @@
 //! Every network-priority decision is delegated to the pluggable policy
 //! layer ([`crate::policy`]): request injection at L2 miss goes through a
 //! [`RequestPolicy`], response injection at the controllers through a
-//! [`ResponsePolicy`], and router arbitration through the
-//! `ArbitrationPolicy` resolved inside each router. Observers can attach
+//! [`ResponsePolicy`], and router arbitration through the configured
+//! `StarvationPolicy` each router keys its candidates by. Observers can attach
 //! [`Probe`]s to watch hops, controller dequeues and retirements without
 //! perturbing the simulation.
 
@@ -295,8 +295,8 @@ impl std::fmt::Debug for System {
             .field("cores", &self.cores.len())
             .field("controllers", &self.mcs.len())
             .field("txns_in_flight", &self.txns.len())
-            .field("request_policy", &self.req_policy.name())
-            .field("response_policy", &self.resp_policy.name())
+            .field("request_policy", &self.cfg.request_policy().name())
+            .field("response_policy", &self.cfg.response_policy().name())
             .finish_non_exhaustive()
     }
 }
@@ -387,8 +387,8 @@ impl System {
             work_seq: 0,
             mcs,
             mc_at_node,
-            req_policy: build_request_policy(&cfg, addr_map.total_banks())?,
-            resp_policy: build_response_policy(&cfg)?,
+            req_policy: build_request_policy(&cfg, addr_map.total_banks()),
+            resp_policy: build_response_policy(&cfg),
             probes: Vec::new(),
             txns: HashMap::new(),
             next_txn: 0,
@@ -781,18 +781,6 @@ impl System {
                 10_000,
             );
         }
-    }
-
-    /// Registry name of the active request-injection policy.
-    #[must_use]
-    pub fn request_policy_name(&self) -> &'static str {
-        self.req_policy.name()
-    }
-
-    /// Registry name of the active response-injection policy.
-    #[must_use]
-    pub fn response_policy_name(&self) -> &'static str {
-        self.resp_policy.name()
     }
 
     /// Attaches an observer to the per-hop, per-controller-dequeue and

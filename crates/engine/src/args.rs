@@ -351,6 +351,7 @@ pub fn job_key(fingerprint: u64, label: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noclat::{RequestPolicyKind, ResponsePolicyKind};
     use std::path::Path;
 
     fn argv(s: &[&str]) -> Vec<String> {
@@ -409,8 +410,8 @@ mod tests {
         assert!(rest.is_empty());
         let mut cfg = SystemConfig::baseline_32();
         args.apply_policy(&mut cfg);
-        assert_eq!(cfg.policy.request.as_deref(), Some("oldest-first"));
-        assert_eq!(cfg.policy.response.as_deref(), Some("static"));
+        assert_eq!(cfg.request_policy(), RequestPolicyKind::OldestFirst);
+        assert_eq!(cfg.response_policy(), ResponsePolicyKind::Static);
         cfg.validate().expect("override produces a valid config");
         // No --policy: configurations pass through untouched.
         let (args, _) = SweepArgs::parse_argv(&argv(&[])).unwrap();

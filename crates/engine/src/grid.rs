@@ -481,7 +481,7 @@ impl AloneMap {
 mod tests {
     use super::*;
     use crate::args::model_fingerprint;
-    use noclat::{JournalError, KernelKind, MODEL_VERSION};
+    use noclat::{JournalError, KernelKind, RequestPolicyKind, ResponsePolicyKind, MODEL_VERSION};
 
     #[test]
     fn alone_key_strips_schemes_but_keeps_hardware() {
@@ -492,8 +492,8 @@ mod tests {
         );
         // Policy selection is also contention-only: alone runs share a key.
         let mut with_policy = base.clone();
-        with_policy.policy.request = Some("oldest-first".to_string());
-        with_policy.policy.response = Some("static".to_string());
+        with_policy.policy.request = Some(RequestPolicyKind::OldestFirst);
+        with_policy.policy.response = Some(ResponsePolicyKind::Static);
         assert_eq!(alone_key(&base), alone_key(&with_policy));
         let mut more_vcs = base.clone();
         more_vcs.noc.vcs_per_port = 8;

@@ -46,7 +46,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
-use noclat::{run_mix, KernelKind, McPlacement, RunLengths, SystemConfig, TopologyOverride};
+use noclat::{
+    run_mix, KernelKind, McPlacement, RunLengths, SchemePreset, SystemConfig, TopologyOverride,
+};
 use noclat_analytic::AnalyticModel;
 use noclat_sim::cancel::CancelToken;
 use noclat_sim::journal::fnv1a64;
@@ -66,8 +68,8 @@ pub struct CellSpec {
     pub fabric: String,
     /// Memory-controller placement.
     pub mc: McPlacement,
-    /// Scheme combination: `baseline`, `s1`, `s2` or `both`.
-    pub scheme: String,
+    /// Scheme combination.
+    pub scheme: SchemePreset,
     /// Table-2 workload index (1..=18).
     pub workload: usize,
     /// Base RNG seed.
@@ -121,7 +123,8 @@ impl CellSpec {
             fabric: str_field("fabric", "mesh")?,
             mc: McPlacement::parse(&str_field("mc", "corner")?)
                 .map_err(|e| format!("cell.mc: {e}"))?,
-            scheme: str_field("scheme", "baseline")?,
+            scheme: SchemePreset::parse(&str_field("scheme", "baseline")?)
+                .map_err(|e| format!("cell.scheme: {e}"))?,
             workload: usize::try_from(u64_field("workload", 2)?).unwrap_or(0),
             seed: u64_field("seed", SystemConfig::baseline_32().seed)?,
             warmup: u64_field("warmup", lengths.warmup)?,
@@ -129,9 +132,6 @@ impl CellSpec {
             kernel: KernelKind::parse(&str_field("kernel", KernelKind::default().name())?)
                 .map_err(|e| format!("cell.kernel: {e}"))?,
         };
-        if !matches!(spec.scheme.as_str(), "baseline" | "s1" | "s2" | "both") {
-            return Err("cell.scheme must be baseline, s1, s2 or both".into());
-        }
         if !(1..=18).contains(&spec.workload) {
             return Err("cell.workload must be in 1..=18".into());
         }
@@ -154,7 +154,7 @@ impl CellSpec {
             self.size,
             self.fabric,
             self.mc.name(),
-            self.scheme,
+            self.scheme.name(),
             self.workload,
             self.seed,
             self.warmup,
@@ -185,15 +185,10 @@ impl CellSpec {
     ///
     /// The fabric/config validation message.
     pub fn build(&self) -> Result<(SystemConfig, Vec<noclat_workloads::SpecApp>), String> {
-        let mut cfg = base_config(self.size).expect("size validated at parse");
+        let mut cfg = self
+            .scheme
+            .apply(base_config(self.size).expect("size validated at parse"));
         cfg.seed = self.seed;
-        cfg = match self.scheme.as_str() {
-            "baseline" => cfg,
-            "s1" => cfg.with_scheme1(),
-            "s2" => cfg.with_scheme2(),
-            "both" => cfg.with_both_schemes(),
-            other => return Err(format!("unknown scheme {other}")),
-        };
         let ov = TopologyOverride::parse(&self.fabric)?;
         ov.apply(&mut cfg);
         cfg.topology.mc_placement = self.mc;
@@ -825,7 +820,7 @@ mod tests {
         assert_eq!(spec.size, 8);
         assert_eq!(spec.fabric, "mesh");
         assert_eq!(spec.mc, McPlacement::Corner);
-        assert_eq!(spec.scheme, "baseline");
+        assert_eq!(spec.scheme, SchemePreset::Baseline);
         assert_eq!(spec.workload, 2);
         assert_eq!(spec.lengths(), RunLengths::standard());
 
@@ -847,6 +842,18 @@ mod tests {
         assert!(CellSpec::from_json(&spec_json(r#""measure":0"#)).is_err());
         assert!(CellSpec::from_json(&spec_json(r#""fabric":"donut""#)).is_err());
         assert!(CellSpec::from_json(&Json::Uint(3)).is_err());
+    }
+
+    #[test]
+    fn canonical_rendering_is_stable() {
+        // The content-address preimage of cached results: a change here
+        // orphans every cache entry.
+        let spec = CellSpec::from_json(&spec_json(r#""scheme":"both""#)).unwrap();
+        assert_eq!(
+            spec.canonical(),
+            "cell v1 size=8 fabric=mesh mc=corner scheme=both workload=2 seed=207547666 \
+             warmup=20000 measure=150000 kernel=cycle"
+        );
     }
 
     #[test]

@@ -47,7 +47,10 @@ pub fn batching_key(batch: u32, priority: Priority, effective_age: u64) -> u64 {
     batch_rank + pri + effective_age.min((1 << 20) - 1)
 }
 
-/// Key for a candidate under the configured policy.
+/// Key for a candidate under the configured policy (decision point 3 of
+/// the policy layer); larger wins. Equal keys prefer the higher priority
+/// class, then round-robin — that tie-break lives in
+/// [`RoundRobinArbiter::pick`] and is shared by every policy.
 #[must_use]
 pub fn key_for(policy: StarvationPolicy, guard: u32, c: &Candidate) -> u64 {
     match policy {
@@ -55,97 +58,6 @@ pub fn key_for(policy: StarvationPolicy, guard: u32, c: &Candidate) -> u64 {
         StarvationPolicy::Batching { .. } => batching_key(c.batch, c.priority, c.effective_age),
         StarvationPolicy::OldestFirst => c.effective_age,
         StarvationPolicy::StaticPriority => u64::from(c.priority == Priority::High),
-    }
-}
-
-/// The arbitration-policy seam (decision point 3 of the policy layer): maps
-/// a [`Candidate`] to a scalar key; larger wins. Equal keys prefer the
-/// higher priority class, then round-robin — that tie-break lives in
-/// [`RoundRobinArbiter::pick_with`] and is shared by every policy.
-///
-/// Implementations must be stateless per-arbitration (the same candidate
-/// always maps to the same key within a cycle) so that VA and SA stages can
-/// share one policy object.
-pub trait ArbitrationPolicy: std::fmt::Debug + Send + Sync {
-    /// Scalar key for one candidate; larger wins.
-    fn key(&self, c: &Candidate) -> u64;
-    /// Registry name of this policy.
-    fn name(&self) -> &'static str;
-}
-
-/// The paper's Section-3.3 rule: high priority wins unless a normal
-/// candidate is older by more than the guard `T`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AgeGuardArb {
-    /// The starvation guard `T` in cycles.
-    pub guard: u32,
-}
-
-impl ArbitrationPolicy for AgeGuardArb {
-    fn key(&self, c: &Candidate) -> u64 {
-        arbitration_key(c.priority, c.effective_age, self.guard)
-    }
-    fn name(&self) -> &'static str {
-        "age-guard"
-    }
-}
-
-/// The batching alternative the paper cites: older batch beats any priority
-/// difference; within a batch, priority then age.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchingArb;
-
-impl ArbitrationPolicy for BatchingArb {
-    fn key(&self, c: &Candidate) -> u64 {
-        batching_key(c.batch, c.priority, c.effective_age)
-    }
-    fn name(&self) -> &'static str {
-        "batching"
-    }
-}
-
-/// Pure global-age arbitration: oldest flit wins outright. Priority still
-/// breaks exact-age ties (via the shared tie-break), but never overrides an
-/// age difference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OldestFirstArb;
-
-impl ArbitrationPolicy for OldestFirstArb {
-    fn key(&self, c: &Candidate) -> u64 {
-        c.effective_age
-    }
-    fn name(&self) -> &'static str {
-        "oldest-first"
-    }
-}
-
-/// Pure static-priority arbitration: the priority class alone decides;
-/// within a class, round-robin. No starvation protection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaticArb;
-
-impl ArbitrationPolicy for StaticArb {
-    fn key(&self, c: &Candidate) -> u64 {
-        u64::from(c.priority == Priority::High)
-    }
-    fn name(&self) -> &'static str {
-        "static"
-    }
-}
-
-/// Resolves a [`StarvationPolicy`] configuration value to its policy
-/// object. Routers hold the result behind an [`std::sync::Arc`] so the
-/// router stays cheaply cloneable.
-#[must_use]
-pub fn arbitration_policy(
-    policy: StarvationPolicy,
-    guard: u32,
-) -> std::sync::Arc<dyn ArbitrationPolicy> {
-    match policy {
-        StarvationPolicy::AgeGuard => std::sync::Arc::new(AgeGuardArb { guard }),
-        StarvationPolicy::Batching { .. } => std::sync::Arc::new(BatchingArb),
-        StarvationPolicy::OldestFirst => std::sync::Arc::new(OldestFirstArb),
-        StarvationPolicy::StaticPriority => std::sync::Arc::new(StaticArb),
     }
 }
 
@@ -166,24 +78,15 @@ impl RoundRobinArbiter {
         Self::default()
     }
 
-    /// Picks a winner among `candidates` under the paper's age-guard rule;
-    /// returns its `tag`, or `None` when there are no candidates. Advances
-    /// the round-robin pointer past the winner.
-    pub fn pick(&mut self, candidates: &[Candidate], starvation_guard: u32) -> Option<usize> {
-        self.pick_with(
-            candidates,
-            &AgeGuardArb {
-                guard: starvation_guard,
-            },
-        )
-    }
-
-    /// Like [`RoundRobinArbiter::pick`], under an explicit arbitration
-    /// policy.
-    pub fn pick_with(
+    /// Picks a winner among `candidates`, keyed by [`key_for`] under
+    /// `policy` (with starvation guard `guard`); returns its `tag`, or
+    /// `None` when there are no candidates. Advances the round-robin
+    /// pointer past the winner.
+    pub fn pick(
         &mut self,
         candidates: &[Candidate],
-        policy: &dyn ArbitrationPolicy,
+        policy: StarvationPolicy,
+        guard: u32,
     ) -> Option<usize> {
         if candidates.is_empty() {
             return None;
@@ -193,7 +96,7 @@ impl RoundRobinArbiter {
         for offset in 0..n {
             let idx = (self.next + offset) % n;
             let c = candidates[idx];
-            let key = policy.key(&c);
+            let key = key_for(policy, guard, &c);
             let better = match best {
                 None => true,
                 Some((bk, bp, _)) => key > bk || (key == bk && c.priority > bp),
@@ -226,6 +129,7 @@ mod tests {
         let mut arb = RoundRobinArbiter::new();
         let got = arb.pick(
             &[cand(0, Priority::Normal, 100), cand(1, Priority::High, 10)],
+            StarvationPolicy::AgeGuard,
             1000,
         );
         assert_eq!(got, Some(1));
@@ -238,6 +142,7 @@ mod tests {
         let mut arb = RoundRobinArbiter::new();
         let got = arb.pick(
             &[cand(0, Priority::Normal, 1500), cand(1, Priority::High, 10)],
+            StarvationPolicy::AgeGuard,
             1000,
         );
         assert_eq!(got, Some(0));
@@ -249,6 +154,7 @@ mod tests {
         let mut arb = RoundRobinArbiter::new();
         let got = arb.pick(
             &[cand(0, Priority::Normal, 1010), cand(1, Priority::High, 10)],
+            StarvationPolicy::AgeGuard,
             1000,
         );
         assert_eq!(got, Some(1));
@@ -263,6 +169,7 @@ mod tests {
                 cand(1, Priority::Normal, 50),
                 cand(2, Priority::Normal, 20),
             ],
+            StarvationPolicy::AgeGuard,
             1000,
         );
         assert_eq!(got, Some(1));
@@ -278,7 +185,7 @@ mod tests {
         ];
         let mut wins = Vec::new();
         for _ in 0..6 {
-            wins.push(arb.pick(&cands, 1000).unwrap());
+            wins.push(arb.pick(&cands, StarvationPolicy::AgeGuard, 1000).unwrap());
         }
         // Every candidate must win at least once across the rotation.
         for tag in 0..3 {
@@ -289,7 +196,7 @@ mod tests {
     #[test]
     fn empty_candidates_yield_none() {
         let mut arb = RoundRobinArbiter::new();
-        assert_eq!(arb.pick(&[], 1000), None);
+        assert_eq!(arb.pick(&[], StarvationPolicy::AgeGuard, 1000), None);
     }
 
     #[test]
@@ -308,7 +215,11 @@ mod tests {
         };
         let mut arb = RoundRobinArbiter::new();
         assert_eq!(
-            arb.pick_with(&[old_normal, new_high], &BatchingArb),
+            arb.pick(
+                &[old_normal, new_high],
+                StarvationPolicy::Batching { interval: 64 },
+                0
+            ),
             Some(0)
         );
     }
@@ -328,7 +239,14 @@ mod tests {
             batch: 7,
         };
         let mut arb = RoundRobinArbiter::new();
-        assert_eq!(arb.pick_with(&[normal, high], &BatchingArb), Some(1));
+        assert_eq!(
+            arb.pick(
+                &[normal, high],
+                StarvationPolicy::Batching { interval: 64 },
+                0
+            ),
+            Some(1)
+        );
     }
 
     #[test]
@@ -343,39 +261,13 @@ mod tests {
         // shared tie-break must still hand the grant to the High class.
         let mut arb = RoundRobinArbiter::new();
         let cands = [cand(0, Priority::Normal, 42), cand(1, Priority::High, 42)];
-        assert_eq!(arb.pick(&cands, 1000), Some(1));
+        assert_eq!(arb.pick(&cands, StarvationPolicy::AgeGuard, 1000), Some(1));
         let mut arb = RoundRobinArbiter::new();
-        assert_eq!(arb.pick(&cands, 0), Some(1), "equal keys break by class");
-    }
-
-    #[test]
-    fn policy_objects_match_key_for() {
-        let cands = [
-            cand(3, Priority::Normal, 1500),
-            cand(4, Priority::High, 10),
-            Candidate {
-                tag: 5,
-                priority: Priority::High,
-                effective_age: 700,
-                batch: 2,
-            },
-        ];
-        let table: [(StarvationPolicy, &dyn ArbitrationPolicy); 4] = [
-            (StarvationPolicy::AgeGuard, &AgeGuardArb { guard: 1000 }),
-            (StarvationPolicy::Batching { interval: 64 }, &BatchingArb),
-            (StarvationPolicy::OldestFirst, &OldestFirstArb),
-            (StarvationPolicy::StaticPriority, &StaticArb),
-        ];
-        for (cfg, obj) in table {
-            for c in &cands {
-                assert_eq!(
-                    key_for(cfg, 1000, c),
-                    obj.key(c),
-                    "{cfg:?} vs {}",
-                    obj.name()
-                );
-            }
-        }
+        assert_eq!(
+            arb.pick(&cands, StarvationPolicy::AgeGuard, 0),
+            Some(1),
+            "equal keys break by class"
+        );
     }
 
     #[test]
@@ -384,27 +276,17 @@ mod tests {
         let young_high = cand(1, Priority::High, 10);
         let mut arb = RoundRobinArbiter::new();
         assert_eq!(
-            arb.pick_with(&[old_normal, young_high], &OldestFirstArb),
+            arb.pick(&[old_normal, young_high], StarvationPolicy::OldestFirst, 0),
             Some(0)
         );
         let mut arb = RoundRobinArbiter::new();
         assert_eq!(
-            arb.pick_with(&[old_normal, young_high], &StaticArb),
+            arb.pick(
+                &[old_normal, young_high],
+                StarvationPolicy::StaticPriority,
+                0
+            ),
             Some(1)
         );
-    }
-
-    #[test]
-    fn factory_resolves_all_variants() {
-        let names: Vec<&str> = [
-            StarvationPolicy::AgeGuard,
-            StarvationPolicy::Batching { interval: 100 },
-            StarvationPolicy::OldestFirst,
-            StarvationPolicy::StaticPriority,
-        ]
-        .into_iter()
-        .map(|p| arbitration_policy(p, 1000).name())
-        .collect();
-        assert_eq!(names, ["age-guard", "batching", "oldest-first", "static"]);
     }
 }

@@ -12,12 +12,11 @@
 //! residency from 5 cycles to 2.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use noclat_sim::config::NocConfig;
 use noclat_sim::Cycle;
 
-use crate::arbiter::{arbitration_policy, ArbitrationPolicy, Candidate, RoundRobinArbiter};
+use crate::arbiter::{Candidate, RoundRobinArbiter};
 use crate::packet::{accumulate_age, Flit, Priority, VNet};
 use crate::topology::{Dir, Mesh, NodeId};
 
@@ -116,9 +115,6 @@ pub struct Router {
     va_arb: Vec<RoundRobinArbiter>,
     sa_in_arb: Vec<RoundRobinArbiter>,
     sa_out_arb: Vec<RoundRobinArbiter>,
-    /// The arbitration policy shared by VA and both SA phases (decision
-    /// point 3 of the policy layer), resolved once from the configuration.
-    arb: Arc<dyn ArbitrationPolicy>,
     counters: RouterCounters,
     /// Total flits buffered across all input VCs (fast-path guard).
     occupancy: usize,
@@ -164,7 +160,6 @@ impl Router {
             va_arb: vec![RoundRobinArbiter::new(); ports],
             sa_in_arb: vec![RoundRobinArbiter::new(); ports],
             sa_out_arb: vec![RoundRobinArbiter::new(); ports],
-            arb: arbitration_policy(cfg.starvation, cfg.starvation_age_guard),
             counters: RouterCounters::default(),
             occupancy: 0,
             out: RouterOutput::default(),
@@ -348,7 +343,11 @@ impl Router {
                     break;
                 }
                 let winner_tag = self.va_arb[out_port]
-                    .pick_with(&grantable, &*self.arb)
+                    .pick(
+                        &grantable,
+                        self.cfg.starvation,
+                        self.cfg.starvation_age_guard,
+                    )
                     .expect("non-empty grantable set");
                 let (port, vc) = untag(winner_tag, self.cfg.vcs_per_port);
                 let (vnet, dest) = {
@@ -417,7 +416,11 @@ impl Router {
                     batch: front.batch,
                 });
             }
-            if let Some(tag) = self.sa_in_arb[port].pick_with(&candidates, &*self.arb) {
+            if let Some(tag) = self.sa_in_arb[port].pick(
+                &candidates,
+                self.cfg.starvation,
+                self.cfg.starvation_age_guard,
+            ) {
                 phase1.push(tag);
             }
         }
@@ -442,7 +445,11 @@ impl Router {
                     })
                 })
                 .collect();
-            let Some(tag) = self.sa_out_arb[out_port].pick_with(&candidates, &*self.arb) else {
+            let Some(tag) = self.sa_out_arb[out_port].pick(
+                &candidates,
+                self.cfg.starvation,
+                self.cfg.starvation_age_guard,
+            ) else {
                 continue;
             };
             self.traverse(tag, now);

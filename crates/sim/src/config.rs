@@ -10,103 +10,100 @@ use crate::error::FaultError;
 use crate::faults::FaultPlan;
 use crate::Cycle;
 
-/// Which network fabric connects the tiles.
-///
-/// The tile grid (`width × height`, one core/L1/L2-bank per tile) is the
-/// same for every kind — the kind only changes how routers are wired:
-///
-/// * `Mesh` — the paper's 2D mesh (bit-identical to the pre-topology code).
-/// * `Torus` — mesh plus wraparound links in both dimensions; deadlock
-///   freedom comes from dateline virtual-channel subclasses, which is why a
-///   torus needs `vcs_per_port` divisible by 4 (request/response halves,
-///   each split into two dateline subclasses).
-/// * `CMesh` — concentrated mesh: `concentration` tiles share one router
-///   (2 → 2×1 tile blocks, 4 → 2×2 blocks), quartering router count and
-///   average hop distance at 256+ cores.
-/// * `Express` — mesh plus express (ruche) channels that skip
-///   `express_skip` routers per hop in each dimension, the BSG
-///   `RUCHE_FACTOR` parameterization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TopologyKind {
-    /// Plain 2D mesh (the default; the paper's fabric).
-    #[default]
-    Mesh,
-    /// 2D torus with dateline VCs.
-    Torus,
-    /// Concentrated mesh.
-    CMesh,
-    /// Mesh with express/ruche skip channels.
-    Express,
+/// Declares a closed set of named choices: the enum plus its one `ALL`, one
+/// `name` and one `parse`, all generated from a single variant→name table
+/// so the three can never drift apart. The literal after the type is the
+/// start of the `parse` error, which goes on to list every name in `ALL`.
+macro_rules! named_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident: $unknown:literal {
+            $($(#[$vmeta:meta])* $variant:ident => $name:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $ty {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $ty {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$ty] = &[$($ty::$variant),+];
+
+            /// The name this variant is selected by.
+            #[must_use]
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)+
+                }
+            }
+
+            /// Parses a name produced by `name`.
+            ///
+            /// # Errors
+            ///
+            /// Returns a message listing every name in `ALL`.
+            pub fn parse(value: &str) -> Result<Self, String> {
+                Self::ALL
+                    .iter()
+                    .copied()
+                    .find(|k| k.name() == value)
+                    .ok_or_else(|| {
+                        let known: Vec<&str> = Self::ALL.iter().map(|k| k.name()).collect();
+                        format!(
+                            concat!($unknown, " {:?} (known: {})"),
+                            value,
+                            known.join(", ")
+                        )
+                    })
+            }
+        }
+    };
 }
 
-impl TopologyKind {
-    /// Parses a `--topology` fabric name.
+named_enum! {
+    /// Which network fabric connects the tiles.
     ///
-    /// # Errors
+    /// The tile grid (`width × height`, one core/L1/L2-bank per tile) is the
+    /// same for every kind — the kind only changes how routers are wired:
     ///
-    /// Returns a human-readable message for unknown names.
-    pub fn parse(value: &str) -> Result<Self, String> {
-        match value {
-            "mesh" => Ok(TopologyKind::Mesh),
-            "torus" => Ok(TopologyKind::Torus),
-            "cmesh" => Ok(TopologyKind::CMesh),
-            "express" => Ok(TopologyKind::Express),
-            _ => Err(format!(
-                "--topology: unknown fabric {value:?} (known: mesh, torus, cmesh, express)"
-            )),
-        }
-    }
-
-    /// The CLI name of this fabric.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            TopologyKind::Mesh => "mesh",
-            TopologyKind::Torus => "torus",
-            TopologyKind::CMesh => "cmesh",
-            TopologyKind::Express => "express",
-        }
+    /// * `Mesh` — the paper's 2D mesh (bit-identical to the pre-topology code).
+    /// * `Torus` — mesh plus wraparound links in both dimensions; deadlock
+    ///   freedom comes from dateline virtual-channel subclasses, which is why a
+    ///   torus needs `vcs_per_port` divisible by 4 (request/response halves,
+    ///   each split into two dateline subclasses).
+    /// * `CMesh` — concentrated mesh: `concentration` tiles share one router
+    ///   (2 → 2×1 tile blocks, 4 → 2×2 blocks), quartering router count and
+    ///   average hop distance at 256+ cores.
+    /// * `Express` — mesh plus express (ruche) channels that skip
+    ///   `express_skip` routers per hop in each dimension, the BSG
+    ///   `RUCHE_FACTOR` parameterization.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum TopologyKind: "--topology: unknown fabric" {
+        /// Plain 2D mesh (the default; the paper's fabric).
+        #[default]
+        Mesh => "mesh",
+        /// 2D torus with dateline VCs.
+        Torus => "torus",
+        /// Concentrated mesh.
+        CMesh => "cmesh",
+        /// Mesh with express/ruche skip channels.
+        Express => "express",
     }
 }
 
-/// Where memory controllers attach to the tile grid — a swept sub-axis
-/// ("Optimal Placement of Cores, Caches and Memory Controllers in NoC").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum McPlacement {
-    /// The paper's layout: controllers at the grid corners (default).
-    #[default]
-    Corner,
-    /// Controllers at edge midpoints (top/bottom, then left/right).
-    Edge,
-    /// Controllers in the central block of the grid.
-    Center,
-}
-
-impl McPlacement {
-    /// Parses an `mc=` placement name.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for unknown names.
-    pub fn parse(value: &str) -> Result<Self, String> {
-        match value {
-            "corner" => Ok(McPlacement::Corner),
-            "edge" => Ok(McPlacement::Edge),
-            "center" => Ok(McPlacement::Center),
-            _ => Err(format!(
-                "--topology: unknown MC placement {value:?} (known: corner, edge, center)"
-            )),
-        }
-    }
-
-    /// The CLI name of this placement.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            McPlacement::Corner => "corner",
-            McPlacement::Edge => "edge",
-            McPlacement::Center => "center",
-        }
+named_enum! {
+    /// Where memory controllers attach to the tile grid — a swept sub-axis
+    /// ("Optimal Placement of Cores, Caches and Memory Controllers in NoC").
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum McPlacement: "--topology: unknown MC placement" {
+        /// The paper's layout: controllers at the grid corners (default).
+        #[default]
+        Corner => "corner",
+        /// Controllers at edge midpoints (top/bottom, then left/right).
+        Edge => "edge",
+        /// Controllers in the central block of the grid.
+        Center => "center",
     }
 }
 
@@ -451,6 +448,56 @@ pub enum StarvationPolicy {
     StaticPriority,
 }
 
+impl StarvationPolicy {
+    /// Every variant; `Batching` stands in with a representative interval
+    /// (any positive `K` parses).
+    pub const ALL: &'static [StarvationPolicy] = &[
+        StarvationPolicy::AgeGuard,
+        StarvationPolicy::Batching { interval: 1000 },
+        StarvationPolicy::OldestFirst,
+        StarvationPolicy::StaticPriority,
+    ];
+
+    /// The `--policy arb=` name of this policy; `batching:K` carries its
+    /// interval so the name parses back to the same value.
+    #[must_use]
+    pub fn name(self) -> String {
+        match self {
+            StarvationPolicy::AgeGuard => "age-guard".to_string(),
+            StarvationPolicy::Batching { interval } => format!("batching:{interval}"),
+            StarvationPolicy::OldestFirst => "oldest-first".to_string(),
+            StarvationPolicy::StaticPriority => "static".to_string(),
+        }
+    }
+
+    /// Parses a name produced by [`StarvationPolicy::name`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message for unknown names or a missing,
+    /// malformed or zero batching interval.
+    pub fn parse(value: &str) -> Result<Self, String> {
+        if let Some(interval) = value.strip_prefix("batching:") {
+            return match interval.parse() {
+                Ok(0) => Err("batching interval must be positive".to_string()),
+                Ok(interval) => Ok(StarvationPolicy::Batching { interval }),
+                Err(_) => Err(format!("bad batching interval {interval:?}")),
+            };
+        }
+        Self::ALL
+            .iter()
+            .copied()
+            .find(|p| p.name() == value)
+            .ok_or_else(|| {
+                let known: Vec<String> = Self::ALL.iter().map(|p| p.name()).collect();
+                format!(
+                    "unknown arbitration policy {value:?} (known: {})",
+                    known.join(", ")
+                )
+            })
+    }
+}
+
 impl NocConfig {
     /// Maximum representable age value (saturating).
     #[must_use]
@@ -549,64 +596,94 @@ pub struct Scheme2Config {
     pub idle_threshold: u32,
 }
 
-/// Request-injection policy names accepted by the registry (decision
-/// point 1: the priority an L2 miss gets when it enters the request
-/// network). See `DESIGN.md` §10 for the registry contract.
-pub const REQUEST_POLICIES: &[&str] = &["baseline", "scheme2", "oldest-first", "static"];
-
-/// Response-injection policy names accepted by the registry (decision
-/// point 2: the priority a memory controller gives a reply).
-pub const RESPONSE_POLICIES: &[&str] = &["baseline", "scheme1", "oldest-first", "static"];
-
-/// Named prioritization-policy selection (the string-keyed registry).
-///
-/// `None` in a slot means "derive from the scheme flags": the request slot
-/// resolves to `scheme2` when [`Scheme2Config::enabled`] is set and
-/// `baseline` otherwise, and likewise the response slot resolves to
-/// `scheme1` or `baseline`. This keeps every pre-existing configuration —
-/// including the golden-result suite — byte-identical: selecting nothing
-/// selects exactly the hardwired behavior this layer replaced.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PolicyConfig {
-    /// Request-injection policy name (see [`REQUEST_POLICIES`]), or `None`
-    /// to derive from `scheme2.enabled`.
-    pub request: Option<String>,
-    /// Response-injection policy name (see [`RESPONSE_POLICIES`]), or
-    /// `None` to derive from `scheme1.enabled`.
-    pub response: Option<String>,
+named_enum! {
+    /// Request-injection policy (decision point 1: the priority an L2 miss
+    /// gets when it enters the request network). See `DESIGN.md` §10.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum RequestPolicyKind: "unknown request policy" {
+        /// Every request at normal priority.
+        Baseline => "baseline",
+        /// Scheme-2: expedite requests to banks this tile has not used
+        /// recently (Section 3.2).
+        Scheme2 => "scheme2",
+        /// Expedite requests older than the running average age.
+        OldestFirst => "oldest-first",
+        /// The lower half of the cores is always high priority.
+        Static => "static",
+    }
 }
 
-impl PolicyConfig {
-    /// The request-policy name this configuration resolves to.
-    #[must_use]
-    pub fn request_name(&self, scheme2_enabled: bool) -> &str {
-        match &self.request {
-            Some(name) => name,
-            None if scheme2_enabled => "scheme2",
-            None => "baseline",
-        }
+named_enum! {
+    /// Response-injection policy (decision point 2: the priority a memory
+    /// controller gives a reply).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum ResponsePolicyKind: "unknown response policy" {
+        /// Every response at normal priority.
+        Baseline => "baseline",
+        /// Scheme-1: expedite responses whose so-far delay exceeds the
+        /// owner core's threshold (Section 3.1).
+        Scheme1 => "scheme1",
+        /// Expedite responses older than the running average age.
+        OldestFirst => "oldest-first",
+        /// The lower half of the cores is always high priority.
+        Static => "static",
     }
+}
 
-    /// The response-policy name this configuration resolves to.
+named_enum! {
+    /// The paper's four scheme combinations as named presets of the
+    /// `scheme1/2.enabled` flags.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum SchemePreset: "unknown scheme" {
+        /// Both schemes off.
+        Baseline => "baseline",
+        /// Scheme-1 only.
+        S1 => "s1",
+        /// Scheme-2 only.
+        S2 => "s2",
+        /// Both schemes (the paper's headline configuration).
+        Both => "both",
+    }
+}
+
+impl SchemePreset {
+    /// Turns on this preset's schemes in `cfg`.
     #[must_use]
-    pub fn response_name(&self, scheme1_enabled: bool) -> &str {
-        match &self.response {
-            Some(name) => name,
-            None if scheme1_enabled => "scheme1",
-            None => "baseline",
+    pub fn apply(self, cfg: SystemConfig) -> SystemConfig {
+        match self {
+            SchemePreset::Baseline => cfg,
+            SchemePreset::S1 => cfg.with_scheme1(),
+            SchemePreset::S2 => cfg.with_scheme2(),
+            SchemePreset::Both => cfg.with_both_schemes(),
         }
     }
+}
+
+/// Explicit prioritization-policy selection.
+///
+/// `None` in a slot means "derive from the scheme flags" (see
+/// [`SystemConfig::request_policy`]). This keeps every pre-existing
+/// configuration — including the golden-result suite — byte-identical:
+/// selecting nothing selects exactly the hardwired behavior the policy
+/// layer replaced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PolicyConfig {
+    /// Request-injection policy, or `None` to derive from `scheme2.enabled`.
+    pub request: Option<RequestPolicyKind>,
+    /// Response-injection policy, or `None` to derive from
+    /// `scheme1.enabled`.
+    pub response: Option<ResponsePolicyKind>,
 }
 
 /// A parsed `--policy req=<name>,resp=<name>,arb=<name>` override from the
 /// sweep CLI. Unset slots leave the configuration untouched, so a single
 /// override composes with each binary's own scheme/config sweep.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PolicyOverride {
     /// Request-injection policy to select, if any.
-    pub request: Option<String>,
+    pub request: Option<RequestPolicyKind>,
     /// Response-injection policy to select, if any.
-    pub response: Option<String>,
+    pub response: Option<ResponsePolicyKind>,
     /// Arbitration policy to select, if any.
     pub arbitration: Option<StarvationPolicy>,
 }
@@ -631,27 +708,16 @@ impl PolicyOverride {
             let (key, value) = part
                 .split_once('=')
                 .ok_or_else(|| format!("--policy: expected key=value, got {part:?}"))?;
+            let prefixed = |e| format!("--policy: {e}");
             match key {
                 "req" | "request" => {
-                    if !REQUEST_POLICIES.contains(&value) {
-                        return Err(format!(
-                            "--policy: unknown request policy {value:?} (known: {})",
-                            REQUEST_POLICIES.join(", ")
-                        ));
-                    }
-                    out.request = Some(value.to_string());
+                    out.request = Some(RequestPolicyKind::parse(value).map_err(prefixed)?);
                 }
                 "resp" | "response" => {
-                    if !RESPONSE_POLICIES.contains(&value) {
-                        return Err(format!(
-                            "--policy: unknown response policy {value:?} (known: {})",
-                            RESPONSE_POLICIES.join(", ")
-                        ));
-                    }
-                    out.response = Some(value.to_string());
+                    out.response = Some(ResponsePolicyKind::parse(value).map_err(prefixed)?);
                 }
                 "arb" | "arbitration" => {
-                    out.arbitration = Some(parse_arbitration(value)?);
+                    out.arbitration = Some(StarvationPolicy::parse(value).map_err(prefixed)?);
                 }
                 _ => {
                     return Err(format!(
@@ -666,36 +732,15 @@ impl PolicyOverride {
     /// Applies the selected slots to a configuration, leaving unset slots
     /// untouched.
     pub fn apply(&self, cfg: &mut SystemConfig) {
-        if let Some(req) = &self.request {
-            cfg.policy.request = Some(req.clone());
+        if self.request.is_some() {
+            cfg.policy.request = self.request;
         }
-        if let Some(resp) = &self.response {
-            cfg.policy.response = Some(resp.clone());
+        if self.response.is_some() {
+            cfg.policy.response = self.response;
         }
         if let Some(arb) = self.arbitration {
             cfg.noc.starvation = arb;
         }
-    }
-}
-
-fn parse_arbitration(value: &str) -> Result<StarvationPolicy, String> {
-    if let Some(interval) = value.strip_prefix("batching:") {
-        let interval: u32 = interval
-            .parse()
-            .map_err(|_| format!("--policy: bad batching interval {interval:?}"))?;
-        if interval == 0 {
-            return Err("--policy: batching interval must be positive".to_string());
-        }
-        return Ok(StarvationPolicy::Batching { interval });
-    }
-    match value {
-        "age-guard" => Ok(StarvationPolicy::AgeGuard),
-        "oldest-first" => Ok(StarvationPolicy::OldestFirst),
-        "static" => Ok(StarvationPolicy::StaticPriority),
-        _ => Err(format!(
-            "--policy: unknown arbitration policy {value:?} \
-             (known: age-guard, batching:<interval>, oldest-first, static)"
-        )),
     }
 }
 
@@ -762,49 +807,25 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Simulation-kernel strategy: how the system advances time.
-///
-/// Both kernels execute the exact same per-cycle semantics; the event
-/// kernel merely skips cycles it can prove are no-ops (every core blocked,
-/// network drained, no controller or scheduler activity due). Results are
-/// bit-identical by construction — the kernel is a speed knob, not a model
-/// knob — which is why it lives in the configuration rather than the API
-/// surface: callers pick it per run (`--kernel cycle|event`) without any
-/// component caring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelKind {
-    /// Classic cycle-driven scanning: every component is polled every
-    /// cycle. The reference kernel, and the default.
-    #[default]
-    Cycle,
-    /// Event-wheel kernel: components report their next wake-up cycle and
-    /// provably idle spans are skipped wholesale.
-    Event,
-}
-
-impl KernelKind {
-    /// Parses a `--kernel` CLI value.
+named_enum! {
+    /// Simulation-kernel strategy: how the system advances time.
     ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for unknown kernel names.
-    pub fn parse(value: &str) -> Result<Self, String> {
-        match value {
-            "cycle" => Ok(KernelKind::Cycle),
-            "event" => Ok(KernelKind::Event),
-            _ => Err(format!(
-                "--kernel: unknown kernel {value:?} (known: cycle, event)"
-            )),
-        }
-    }
-
-    /// The CLI name of this kernel.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            KernelKind::Cycle => "cycle",
-            KernelKind::Event => "event",
-        }
+    /// Both kernels execute the exact same per-cycle semantics; the event
+    /// kernel merely skips cycles it can prove are no-ops (every core blocked,
+    /// network drained, no controller or scheduler activity due). Results are
+    /// bit-identical by construction — the kernel is a speed knob, not a model
+    /// knob — which is why it lives in the configuration rather than the API
+    /// surface: callers pick it per run (`--kernel cycle|event`) without any
+    /// component caring.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum KernelKind: "--kernel: unknown kernel" {
+        /// Classic cycle-driven scanning: every component is polled every
+        /// cycle. The reference kernel, and the default.
+        #[default]
+        Cycle => "cycle",
+        /// Event-wheel kernel: components report their next wake-up cycle
+        /// and provably idle spans are skipped wholesale.
+        Event => "event",
     }
 }
 
@@ -975,6 +996,30 @@ impl SystemConfig {
         self.with_scheme1().with_scheme2()
     }
 
+    /// The request-injection policy this configuration runs: the explicit
+    /// [`PolicyConfig::request`] if set, otherwise Scheme-2 when
+    /// `scheme2.enabled` and the baseline when not.
+    #[must_use]
+    pub fn request_policy(&self) -> RequestPolicyKind {
+        match self.policy.request {
+            Some(kind) => kind,
+            None if self.scheme2.enabled => RequestPolicyKind::Scheme2,
+            None => RequestPolicyKind::Baseline,
+        }
+    }
+
+    /// The response-injection policy this configuration runs: the explicit
+    /// [`PolicyConfig::response`] if set, otherwise Scheme-1 when
+    /// `scheme1.enabled` and the baseline when not.
+    #[must_use]
+    pub fn response_policy(&self) -> ResponsePolicyKind {
+        match self.policy.response {
+            Some(kind) => kind,
+            None if self.scheme1.enabled => ResponsePolicyKind::Scheme1,
+            None => ResponsePolicyKind::Baseline,
+        }
+    }
+
     /// Number of cores (one application per core).
     #[must_use]
     pub fn num_cores(&self) -> usize {
@@ -1110,22 +1155,6 @@ impl SystemConfig {
         if self.recovery.enabled && self.recovery.timeout == 0 {
             return Err(ConfigError::ZeroRecoveryTimeout);
         }
-        if let Some(name) = &self.policy.request {
-            if !REQUEST_POLICIES.contains(&name.as_str()) {
-                return Err(ConfigError::UnknownPolicy {
-                    slot: "request",
-                    name: name.clone(),
-                });
-            }
-        }
-        if let Some(name) = &self.policy.response {
-            if !RESPONSE_POLICIES.contains(&name.as_str()) {
-                return Err(ConfigError::UnknownPolicy {
-                    slot: "response",
-                    name: name.clone(),
-                });
-            }
-        }
         self.faults
             .validate()
             .map_err(ConfigError::InvalidFaultPlan)?;
@@ -1186,13 +1215,6 @@ pub enum ConfigError {
     ZeroWatchdogInterval,
     /// Recovery timeout must be positive when recovery is enabled.
     ZeroRecoveryTimeout,
-    /// A prioritization-policy name is not in the registry.
-    UnknownPolicy {
-        /// Which slot ("request" or "response").
-        slot: &'static str,
-        /// The unrecognized name.
-        name: String,
-    },
     /// The fault plan failed validation.
     InvalidFaultPlan(FaultError),
     /// Concentration factor invalid for the selected fabric (must be 1 on
@@ -1270,9 +1292,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroRecoveryTimeout => {
                 write!(f, "recovery timeout must be positive")
-            }
-            ConfigError::UnknownPolicy { slot, name } => {
-                write!(f, "unknown {slot} policy {name:?}")
             }
             ConfigError::InvalidFaultPlan(e) => write!(f, "invalid fault plan: {e}"),
             ConfigError::BadConcentration {
@@ -1628,62 +1647,52 @@ mod tests {
     }
 
     #[test]
-    fn policy_names_derive_from_scheme_flags() {
+    fn policies_resolve_from_scheme_flags() {
         let cfg = SystemConfig::baseline_32();
         assert_eq!(cfg.policy, PolicyConfig::default());
-        assert_eq!(cfg.policy.request_name(false), "baseline");
-        assert_eq!(cfg.policy.request_name(true), "scheme2");
-        assert_eq!(cfg.policy.response_name(false), "baseline");
-        assert_eq!(cfg.policy.response_name(true), "scheme1");
-        let explicit = PolicyConfig {
-            request: Some("oldest-first".to_string()),
-            response: Some("static".to_string()),
+        assert_eq!(cfg.request_policy(), RequestPolicyKind::Baseline);
+        assert_eq!(cfg.response_policy(), ResponsePolicyKind::Baseline);
+        let mut cfg = cfg.with_both_schemes();
+        assert_eq!(cfg.request_policy(), RequestPolicyKind::Scheme2);
+        assert_eq!(cfg.response_policy(), ResponsePolicyKind::Scheme1);
+        // Explicit kinds win regardless of the scheme flags.
+        cfg.policy = PolicyConfig {
+            request: Some(RequestPolicyKind::OldestFirst),
+            response: Some(ResponsePolicyKind::Static),
         };
-        // Explicit names win regardless of the scheme flags.
-        assert_eq!(explicit.request_name(true), "oldest-first");
-        assert_eq!(explicit.response_name(true), "static");
+        assert_eq!(cfg.request_policy(), RequestPolicyKind::OldestFirst);
+        assert_eq!(cfg.response_policy(), ResponsePolicyKind::Static);
     }
 
     #[test]
-    fn validation_rejects_unknown_policy_names() {
-        let mut cfg = SystemConfig::baseline_32();
-        cfg.policy.request = Some("fifo".to_string());
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::UnknownPolicy {
-                slot: "request",
-                ..
-            })
-        ));
-        let mut cfg = SystemConfig::baseline_32();
-        cfg.policy.response = Some("scheme2".to_string());
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::UnknownPolicy {
-                slot: "response",
-                ..
-            })
-        ));
-        let mut cfg = SystemConfig::baseline_32();
-        cfg.policy.request = Some("scheme2".to_string());
-        cfg.policy.response = Some("scheme1".to_string());
-        assert!(cfg.validate().is_ok());
+    fn scheme_presets_set_the_flags() {
+        let base = SystemConfig::baseline_32();
+        for preset in SchemePreset::ALL {
+            let cfg = preset.apply(base.clone());
+            let want = match preset {
+                SchemePreset::Baseline => base.clone(),
+                SchemePreset::S1 => base.clone().with_scheme1(),
+                SchemePreset::S2 => base.clone().with_scheme2(),
+                SchemePreset::Both => base.clone().with_both_schemes(),
+            };
+            assert_eq!(cfg, want, "{}", preset.name());
+        }
     }
 
     #[test]
     fn policy_override_parses_and_applies() {
         let ov = PolicyOverride::parse("req=scheme2,resp=scheme1,arb=batching:2000")
             .expect("valid spec");
-        assert_eq!(ov.request.as_deref(), Some("scheme2"));
-        assert_eq!(ov.response.as_deref(), Some("scheme1"));
+        assert_eq!(ov.request, Some(RequestPolicyKind::Scheme2));
+        assert_eq!(ov.response, Some(ResponsePolicyKind::Scheme1));
         assert_eq!(
             ov.arbitration,
             Some(StarvationPolicy::Batching { interval: 2000 })
         );
         let mut cfg = SystemConfig::baseline_32();
         ov.apply(&mut cfg);
-        assert_eq!(cfg.policy.request.as_deref(), Some("scheme2"));
-        assert_eq!(cfg.policy.response.as_deref(), Some("scheme1"));
+        assert_eq!(cfg.policy.request, Some(RequestPolicyKind::Scheme2));
+        assert_eq!(cfg.policy.response, Some(ResponsePolicyKind::Scheme1));
         assert_eq!(
             cfg.noc.starvation,
             StarvationPolicy::Batching { interval: 2000 }
@@ -1695,7 +1704,7 @@ mod tests {
         let mut cfg = SystemConfig::baseline_32();
         ov.apply(&mut cfg);
         assert!(cfg.policy.request.is_none());
-        assert_eq!(cfg.policy.response.as_deref(), Some("oldest-first"));
+        assert_eq!(cfg.policy.response, Some(ResponsePolicyKind::OldestFirst));
         assert_eq!(cfg.noc.starvation, StarvationPolicy::AgeGuard);
 
         assert!(PolicyOverride::parse("").expect("empty is fine").is_empty());
@@ -1750,10 +1759,6 @@ mod tests {
             },
             ConfigError::ZeroWatchdogInterval,
             ConfigError::ZeroRecoveryTimeout,
-            ConfigError::UnknownPolicy {
-                slot: "request",
-                name: "fifo".to_string(),
-            },
             ConfigError::InvalidFaultPlan(FaultError::BadProbability(2.0)),
             ConfigError::BadConcentration {
                 concentration: 0,

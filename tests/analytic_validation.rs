@@ -14,7 +14,7 @@
 //! The perturbation test proves the bands have teeth: breaking a single
 //! model coefficient must push the suite out of band.
 
-use noclat::{RunLengths, SystemConfig, TopologyOverride};
+use noclat::{RunLengths, SchemePreset, SystemConfig, TopologyOverride};
 use noclat_analytic::AnalyticModel;
 use noclat_workloads::{workload, SpecApp};
 
@@ -44,18 +44,6 @@ const TORUS_GOLDEN: [f64; 4] = [
     1872.4269377382466,
 ];
 
-const SCHEMES: [&str; 4] = ["baseline", "s1", "s2", "both"];
-
-fn with_scheme(base: &SystemConfig, scheme: &str) -> SystemConfig {
-    match scheme {
-        "baseline" => base.clone(),
-        "s1" => base.clone().with_scheme1(),
-        "s2" => base.clone().with_scheme2(),
-        "both" => base.clone().with_both_schemes(),
-        other => unreachable!("unknown scheme {other}"),
-    }
-}
-
 fn mesh_family() -> (SystemConfig, Vec<SpecApp>, RunLengths) {
     (
         SystemConfig::baseline_32(),
@@ -83,8 +71,13 @@ fn torus_family() -> (SystemConfig, Vec<SpecApp>, RunLengths) {
     )
 }
 
-fn estimate(base: &SystemConfig, apps: &[SpecApp], lengths: RunLengths, scheme: &str) -> f64 {
-    AnalyticModel::new(&with_scheme(base, scheme), apps)
+fn estimate(
+    base: &SystemConfig,
+    apps: &[SpecApp],
+    lengths: RunLengths,
+    scheme: SchemePreset,
+) -> f64 {
+    AnalyticModel::new(&scheme.apply(base.clone()), apps)
         .expect("golden configs validate")
         .with_lengths(lengths.warmup, lengths.measure)
         .evaluate()
@@ -96,14 +89,17 @@ fn estimate(base: &SystemConfig, apps: &[SpecApp], lengths: RunLengths, scheme: 
 fn all_errors() -> Vec<(String, f64)> {
     let mut out = Vec::new();
     let (mesh, mesh_apps, mesh_len) = mesh_family();
-    for (scheme, &golden) in SCHEMES.iter().zip(&MESH_GOLDEN) {
+    for (&scheme, &golden) in SchemePreset::ALL.iter().zip(&MESH_GOLDEN) {
         let model = estimate(&mesh, &mesh_apps, mesh_len, scheme);
-        out.push((format!("mesh/{scheme}"), (model - golden) / golden));
+        out.push((format!("mesh/{}", scheme.name()), (model - golden) / golden));
     }
     let (torus, torus_apps, torus_len) = torus_family();
-    for (scheme, &golden) in SCHEMES.iter().zip(&TORUS_GOLDEN) {
+    for (&scheme, &golden) in SchemePreset::ALL.iter().zip(&TORUS_GOLDEN) {
         let model = estimate(&torus, &torus_apps, torus_len, scheme);
-        out.push((format!("torus/{scheme}"), (model - golden) / golden));
+        out.push((
+            format!("torus/{}", scheme.name()),
+            (model - golden) / golden,
+        ));
     }
     out
 }
@@ -139,8 +135,9 @@ fn mean_error_is_inside_the_acceptance_band() {
 fn model_reproduces_the_stability_regime_of_each_family() {
     let (mesh, mesh_apps, mesh_len) = mesh_family();
     let (torus, torus_apps, torus_len) = torus_family();
-    for scheme in SCHEMES {
-        let m = AnalyticModel::new(&with_scheme(&mesh, scheme), &mesh_apps)
+    for &preset in SchemePreset::ALL {
+        let scheme = preset.name();
+        let m = AnalyticModel::new(&preset.apply(mesh.clone()), &mesh_apps)
             .unwrap()
             .with_lengths(mesh_len.warmup, mesh_len.measure)
             .evaluate();
@@ -148,7 +145,7 @@ fn model_reproduces_the_stability_regime_of_each_family() {
             m.stability.is_stable(),
             "mesh/{scheme}: golden cell must be model-stable"
         );
-        let t = AnalyticModel::new(&with_scheme(&torus, scheme), &torus_apps)
+        let t = AnalyticModel::new(&preset.apply(torus.clone()), &torus_apps)
             .unwrap()
             .with_lengths(torus_len.warmup, torus_len.measure)
             .evaluate();
@@ -167,8 +164,8 @@ fn broken_coefficient_escapes_the_bands() {
     let (torus, torus_apps, torus_len) = torus_family();
     let mut bad = 0;
     let mut mean = 0.0;
-    for (scheme, &golden) in SCHEMES.iter().zip(&TORUS_GOLDEN) {
-        let model = AnalyticModel::new(&with_scheme(&torus, scheme), &torus_apps).unwrap();
+    for (preset, &golden) in SchemePreset::ALL.iter().zip(&TORUS_GOLDEN) {
+        let model = AnalyticModel::new(&preset.apply(torus.clone()), &torus_apps).unwrap();
         let mut coeffs = model.coefficients();
         coeffs.sat_fill *= 3.0;
         let est = model
@@ -177,14 +174,14 @@ fn broken_coefficient_escapes_the_bands() {
             .evaluate()
             .mean_latency;
         let err = ((est - golden) / golden).abs();
-        mean += err / SCHEMES.len() as f64;
+        mean += err / SchemePreset::ALL.len() as f64;
         if err > CELL_BAND {
             bad += 1;
         }
     }
     assert_eq!(
         bad,
-        SCHEMES.len(),
+        SchemePreset::ALL.len(),
         "a 3x sat_fill must push every torus cell out of the per-cell band"
     );
     assert!(

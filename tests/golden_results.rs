@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use noclat::{alone_ipc, run_mix, weighted_speedup_of, RunLengths, SystemConfig};
+use noclat::{alone_ipc, run_mix, weighted_speedup_of, RunLengths, SchemePreset, SystemConfig};
 use noclat_sim::stats::Histogram;
 use noclat_workloads::{workload, SpecApp};
 
@@ -34,14 +34,8 @@ fn lengths() -> RunLengths {
 }
 
 fn config_for(scheme: &str) -> SystemConfig {
-    let base = SystemConfig::baseline_32();
-    match scheme {
-        "baseline" => base,
-        "s1" => base.with_scheme1(),
-        "s2" => base.with_scheme2(),
-        "both" => base.with_both_schemes(),
-        other => unreachable!("unknown scheme {other}"),
-    }
+    let preset = SchemePreset::parse(scheme).expect("golden rows name a scheme preset");
+    preset.apply(SystemConfig::baseline_32())
 }
 
 /// The metrics one golden row pins.
@@ -220,8 +214,8 @@ fn regen_golden_table() {
     }
     let alone = alone_table();
     println!("const GOLDEN: [Metrics; 4] = [");
-    for scheme in ["baseline", "s1", "s2", "both"] {
-        let m = measure(scheme, alone, &config_for(scheme));
+    for preset in SchemePreset::ALL {
+        let m = measure(preset.name(), alone, &config_for(preset.name()));
         println!("    Metrics {{");
         println!("        scheme: \"{}\",", m.scheme);
         println!("        offchip: {},", m.offchip);
@@ -307,13 +301,8 @@ fn torus_lengths() -> RunLengths {
 }
 
 fn torus_config_for(scheme: &str) -> SystemConfig {
-    let mut cfg = match scheme {
-        "baseline" => SystemConfig::baseline_256(),
-        "s1" => SystemConfig::baseline_256().with_scheme1(),
-        "s2" => SystemConfig::baseline_256().with_scheme2(),
-        "both" => SystemConfig::baseline_256().with_both_schemes(),
-        other => unreachable!("unknown scheme {other}"),
-    };
+    let preset = SchemePreset::parse(scheme).expect("golden rows name a scheme preset");
+    let mut cfg = preset.apply(SystemConfig::baseline_256());
     TopologyOverride::parse("torus")
         .expect("valid spec")
         .apply(&mut cfg);
@@ -429,8 +418,8 @@ fn regen_torus_golden_table() {
         return;
     }
     println!("const TORUS_GOLDEN: [TorusMetrics; 4] = [");
-    for scheme in ["baseline", "s1", "s2", "both"] {
-        let m = torus_measure(scheme, &torus_config_for(scheme));
+    for preset in SchemePreset::ALL {
+        let m = torus_measure(preset.name(), &torus_config_for(preset.name()));
         println!("    TorusMetrics {{");
         println!("        scheme: \"{}\",", m.scheme);
         println!("        offchip: {},", m.offchip);

@@ -17,7 +17,8 @@ use noclat_repro::noc::Hop;
 use noclat_repro::sim::faults::{BankFault, BankFaultKind, CycleWindow, FaultPlan, RouterStall};
 use noclat_repro::workloads::workload;
 use noclat_repro::{
-    KernelKind, McDequeue, Probe, Retire, Simulation, SystemConfig, TopologyOverride,
+    KernelKind, McDequeue, Probe, RequestPolicyKind, ResponsePolicyKind, Retire, Simulation,
+    SystemConfig, TopologyOverride,
 };
 
 /// Cycles per run: long enough that Scheme-1's 10k-cycle threshold-update
@@ -210,8 +211,8 @@ fn both_schemes_match() {
 #[test]
 fn named_policies_match() {
     let mut cfg = SystemConfig::baseline_32();
-    cfg.policy.request = Some("oldest-first".to_string());
-    cfg.policy.response = Some("static".to_string());
+    cfg.policy.request = Some(RequestPolicyKind::OldestFirst);
+    cfg.policy.response = Some(ResponsePolicyKind::Static);
     let plan = FaultPlan::none();
     assert_kernels_agree("named-policies", &cfg, &plan);
 }

@@ -10,7 +10,8 @@
 //! perturbing it.
 
 use noclat::{
-    run_mix, CountingProbe, PolicyOverride, RunLengths, Simulation, System, SystemConfig,
+    run_mix, CountingProbe, PolicyOverride, RequestPolicyKind, ResponsePolicyKind, RunLengths,
+    Simulation, System, SystemConfig,
 };
 use noclat_sim::config::StarvationPolicy;
 use noclat_workloads::workload;
@@ -45,9 +46,13 @@ fn build_system(cfg: SystemConfig, apps: &[noclat_workloads::SpecApp]) -> System
         .into_system()
 }
 
-fn with_policy(mut cfg: SystemConfig, request: &str, response: &str) -> SystemConfig {
-    cfg.policy.request = Some(request.to_string());
-    cfg.policy.response = Some(response.to_string());
+fn with_policy(
+    mut cfg: SystemConfig,
+    request: RequestPolicyKind,
+    response: ResponsePolicyKind,
+) -> SystemConfig {
+    cfg.policy.request = Some(request);
+    cfg.policy.response = Some(response);
     cfg
 }
 
@@ -61,22 +66,38 @@ fn registry_names_reproduce_hardwired_schemes() {
         (
             "baseline",
             base.clone(),
-            with_policy(base.clone(), "baseline", "baseline"),
+            with_policy(
+                base.clone(),
+                RequestPolicyKind::Baseline,
+                ResponsePolicyKind::Baseline,
+            ),
         ),
         (
             "s1",
             base.clone().with_scheme1(),
-            with_policy(base.clone(), "baseline", "scheme1"),
+            with_policy(
+                base.clone(),
+                RequestPolicyKind::Baseline,
+                ResponsePolicyKind::Scheme1,
+            ),
         ),
         (
             "s2",
             base.clone().with_scheme2(),
-            with_policy(base.clone(), "scheme2", "baseline"),
+            with_policy(
+                base.clone(),
+                RequestPolicyKind::Scheme2,
+                ResponsePolicyKind::Baseline,
+            ),
         ),
         (
             "both",
             base.clone().with_both_schemes(),
-            with_policy(base, "scheme2", "scheme1"),
+            with_policy(
+                base,
+                RequestPolicyKind::Scheme2,
+                ResponsePolicyKind::Scheme1,
+            ),
         ),
     ];
     for (name, flags, named) in combos {
@@ -108,7 +129,11 @@ fn baseline_policy_equals_schemes_disabled() {
             reference.clone().with_both_schemes(),
         ];
         for (k, flags) in flag_combos.into_iter().enumerate() {
-            let cfg = with_policy(flags, "baseline", "baseline");
+            let cfg = with_policy(
+                flags,
+                RequestPolicyKind::Baseline,
+                ResponsePolicyKind::Baseline,
+            );
             assert_eq!(
                 fingerprint(&cfg, short),
                 want,
@@ -157,15 +182,22 @@ fn oldest_first_and_static_policies_run_end_to_end() {
 fn system_reports_resolved_policy_names() {
     let apps = workload(WORKLOAD).apps();
     let sys = build_system(SystemConfig::baseline_32().with_both_schemes(), &apps);
-    assert_eq!(sys.request_policy_name(), "scheme2");
-    assert_eq!(sys.response_policy_name(), "scheme1");
+    assert_eq!(sys.config().request_policy(), RequestPolicyKind::Scheme2);
+    assert_eq!(sys.config().response_policy(), ResponsePolicyKind::Scheme1);
     let dbg = format!("{sys:?}");
     assert!(dbg.contains("scheme2") && dbg.contains("scheme1"), "{dbg}");
 
-    let cfg = with_policy(SystemConfig::baseline_32(), "oldest-first", "static");
+    let cfg = with_policy(
+        SystemConfig::baseline_32(),
+        RequestPolicyKind::OldestFirst,
+        ResponsePolicyKind::Static,
+    );
     let sys = build_system(cfg, &apps);
-    assert_eq!(sys.request_policy_name(), "oldest-first");
-    assert_eq!(sys.response_policy_name(), "static");
+    assert_eq!(
+        sys.config().request_policy(),
+        RequestPolicyKind::OldestFirst
+    );
+    assert_eq!(sys.config().response_policy(), ResponsePolicyKind::Static);
 }
 
 /// Probes observe every layer without changing the simulation.
