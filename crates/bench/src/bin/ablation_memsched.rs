@@ -4,11 +4,11 @@
 //! locality and shows how much the schemes depend on a competent scheduler
 //! downstream.
 //!
-//! One [`WsGrid`]: {FR-FCFS, FCFS} × {base, Scheme-1+2}. The schedulers
+//! One [`MixGrid`]: {FR-FCFS, FCFS} × {base, Scheme-1+2}. The schedulers
 //! differ even alone, so each has its own alone denominators.
 
 use noclat::{MemSchedPolicy, SystemConfig};
-use noclat_bench::{banner, pct, w, WsGrid};
+use noclat_bench::{banner, pct, w, MixGrid};
 use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 
 const SCHEDS: [MemSchedPolicy; 2] = [MemSchedPolicy::FrFcfs, MemSchedPolicy::Fcfs];
@@ -19,7 +19,7 @@ fn main() {
         "Ablation: FR-FCFS vs FCFS memory scheduling (workload-8)",
         "Baseline WS and Scheme-1+2 gains per scheduler.",
     );
-    let mut grid = WsGrid::new("memsched");
+    let mut grid = MixGrid::new("memsched");
     grid.workload("", w(8).apps());
     for sched in SCHEDS {
         let mut hw = SystemConfig::baseline_32();
@@ -28,7 +28,7 @@ fn main() {
     }
     grid.variant("base", |c| c)
         .variant("both", SystemConfig::with_both_schemes);
-    let results = grid.run_with(&args, |r, ws| {
+    let results = grid.run_ws(&args, |r, ws| {
         let hit_rate: f64 = (0..r.system.num_controllers())
             .map(|m| r.system.controller_stats(m).row_hit_rate())
             .sum::<f64>()
@@ -38,8 +38,8 @@ fn main() {
 
     let mut rows_json = Vec::new();
     for (k, &sched) in SCHEDS.iter().enumerate() {
-        let (base, hit_rate) = results.at(0, k, 0);
-        let (both, _) = results.at(0, k, 1);
+        let (base, hit_rate) = *results.get(0, k, 0);
+        let (both, _) = *results.get(0, k, 1);
         println!(
             "{sched:?}: base WS {base:.3}, row-hit rate {hit_rate:.2}, Scheme-1+2 {}",
             pct(both / base)

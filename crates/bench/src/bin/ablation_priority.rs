@@ -5,10 +5,10 @@
 //! priority), and (c) Scheme-2 alone. Workload-8 (memory-intensive) is the
 //! most sensitive to all three.
 //!
-//! One [`WsGrid`] with six variants.
+//! One [`MixGrid`] with six variants.
 
 use noclat::SystemConfig;
-use noclat_bench::{banner, pct, w, WsGrid};
+use noclat_bench::{banner, pct, w, MixGrid};
 use noclat_engine::{self as sweep, Obj, SweepArgs};
 
 fn main() {
@@ -17,9 +17,8 @@ fn main() {
         "Ablation: prioritization machinery (workload-8)",
         "Normalized WS of Scheme-1+2 variants against the unprioritized baseline.",
     );
-    let mut grid = WsGrid::new("priority");
+    let mut grid = MixGrid::new("priority");
     grid.workload("", w(8).apps())
-        .hardware("", SystemConfig::baseline_32())
         .variant("baseline", |c| c)
         .variant("s1", SystemConfig::with_scheme1)
         .variant("s2", SystemConfig::with_scheme2)
@@ -34,8 +33,8 @@ fn main() {
             c.noc.starvation_age_guard = 0;
             c
         });
-    let ws = grid.run(&args);
-    let base = ws.at(0, 0, 0);
+    let ws = grid.run_ws(&args, |_, ws| ws);
+    let base = *ws.get(0, 0, 0);
     let norm = |v| ws.normalized(0, 0, v);
 
     println!("baseline WS                    : {base:.3}");

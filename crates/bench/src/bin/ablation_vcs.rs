@@ -2,11 +2,11 @@
 //! combined schemes. More VCs reduce head-of-line blocking, which shrinks
 //! the queueing the schemes can jump.
 //!
-//! One [`WsGrid`]: {2, 4, 8} VCs × {base, Scheme-1+2}. Alone runs depend
+//! One [`MixGrid`]: {2, 4, 8} VCs × {base, Scheme-1+2}. Alone runs depend
 //! on the NoC too, so each VC count has its own alone denominators.
 
 use noclat::SystemConfig;
-use noclat_bench::{banner, pct, w, WsGrid};
+use noclat_bench::{banner, pct, w, MixGrid};
 use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 
 const VCS: [usize; 3] = [2, 4, 8];
@@ -17,7 +17,7 @@ fn main() {
         "Ablation: VCs per port (workload-2)",
         "Baseline WS and Scheme-1+2 gains per VC count.",
     );
-    let mut grid = WsGrid::new("vcs");
+    let mut grid = MixGrid::new("vcs");
     grid.workload("", w(2).apps());
     for vcs in VCS {
         let mut hw = SystemConfig::baseline_32();
@@ -26,12 +26,12 @@ fn main() {
     }
     grid.variant("base", |c| c)
         .variant("both", SystemConfig::with_both_schemes);
-    let ws = grid.run(&args);
+    let ws = grid.run_ws(&args, |_, ws| ws);
 
     let mut rows_json = Vec::new();
     for (k, &vcs) in VCS.iter().enumerate() {
-        let base = ws.at(0, k, 0);
-        let both = ws.at(0, k, 1);
+        let base = *ws.get(0, k, 0);
+        let both = *ws.get(0, k, 1);
         println!(
             "{vcs} VCs/port: base WS {base:.3}, Scheme-1+2 {}",
             pct(both / base)

@@ -10,7 +10,9 @@
 //!
 //! The run lengths are pinned to the golden windows (they are part of what
 //! the model estimates — the torus cells are deliberately window-limited),
-//! so `--warmup`/`--measure`/`quick` are ignored. Writes
+//! so `--warmup`/`--measure`/`quick` are ignored. `--policy`, `--kernel`
+//! and `--topology` reach every cell, so the model and the simulator see
+//! the same configuration. Writes
 //! `BENCH_analytic.json` (override with `--json PATH`).
 
 use noclat::{run_mix, RunLengths, SchemePreset, SystemConfig, TopologyOverride};
@@ -59,7 +61,8 @@ fn main() {
     for (family, base, apps, lengths) in families() {
         for &preset in SchemePreset::ALL {
             let scheme = preset.name();
-            let cfg = preset.apply(base.clone());
+            let mut cfg = preset.apply(base.clone());
+            args.apply_overrides(&mut cfg);
             let model = AnalyticModel::new(&cfg, &apps)
                 .expect("golden configs validate")
                 .with_lengths(lengths.warmup, lengths.measure);

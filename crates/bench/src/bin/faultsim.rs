@@ -20,19 +20,37 @@
 //! exceeded `--job-timeout`, 5 transactions were lost (watchdog/liveness
 //! regression).
 
-use noclat::{run_mix, FaultPlan, SchemePreset, SystemConfig};
-use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
+use noclat::{FaultPlan, MixResult, SchemePreset, SystemConfig};
+use noclat_bench::MixGrid;
+use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 use noclat_workloads::workload;
 
 const USAGE: &str = "faultsim [--jobs N] [--json PATH] [--workload 1..18] [--warmup N] \
      [--measure N] [--seed N] [--policy req=NAME,resp=NAME,arb=NAME] \
-     [--kernel cycle|event] [--resume PATH] [--job-timeout SECS] [--retries N]";
+     [--kernel cycle|event] [--topology NAME[:PARAM=V,...]] [--resume PATH] \
+     [--job-timeout SECS] [--retries N]";
 
 const DROP_RATES: [f64; 4] = [0.0, 1e-5, 1e-4, 1e-3];
 
 /// One sweep cell: completed off-chip accesses, aggregate IPC, and the
 /// robustness counters.
 type Cell = (u64, f64, u64, u64, u64, u64, u64);
+
+/// The sweep cell of a finished run.
+fn cell(r: &MixResult) -> Cell {
+    let offchip: u64 = r.per_app.iter().map(|a| a.offchip).sum();
+    let ipc: f64 = r.per_app.iter().map(|a| a.ipc).sum();
+    let rb = r.system.robustness();
+    (
+        offchip,
+        ipc,
+        rb.packets_dropped,
+        rb.retries,
+        rb.timeouts,
+        rb.lost_txns,
+        rb.violations,
+    )
+}
 
 fn main() {
     // The fault sweep keeps its historical short default window and seed;
@@ -83,7 +101,6 @@ fn main() {
         std::process::exit(2);
     }
 
-    let apps = workload(widx).apps();
     let lengths = args.lengths;
     println!(
         "fault sweep: workload {widx}, {}+{} cycles, drop rates {:?}",
@@ -102,49 +119,27 @@ fn main() {
         "violations"
     );
 
-    let mut jobs = Vec::new();
+    let mut grid = MixGrid::new("faultsim");
+    grid.workload("", workload(widx).apps());
     for &scheme in SchemePreset::ALL {
-        for &rate in &DROP_RATES {
-            let apps = apps.clone();
-            let seed = args.seed;
-            let policy = args.policy;
-            let kernel = args.kernel;
-            jobs.push(Job::new(
-                format!("faultsim/{}/{rate:e}", scheme.name()),
-                move || -> Cell {
-                    let mut cfg = scheme.apply(SystemConfig::baseline_32());
-                    cfg.seed = seed;
-                    policy.apply(&mut cfg);
-                    cfg.kernel = kernel;
-                    if rate > 0.0 {
-                        cfg.faults = FaultPlan::uniform_drop(seed ^ rate.to_bits(), rate);
-                    }
-                    let r = run_mix(&cfg, &apps, lengths);
-                    let offchip: u64 = r.per_app.iter().map(|a| a.offchip).sum();
-                    let ipc: f64 = r.per_app.iter().map(|a| a.ipc).sum();
-                    let rb = r.system.robustness();
-                    (
-                        offchip,
-                        ipc,
-                        rb.packets_dropped,
-                        rb.retries,
-                        rb.timeouts,
-                        rb.lost_txns,
-                        rb.violations,
-                    )
-                },
-            ));
-        }
+        grid.hardware(scheme.name(), scheme.apply(SystemConfig::baseline_32()));
     }
-    let cells = sweep::run_grid(&args, jobs);
+    for rate in DROP_RATES {
+        grid.variant(format!("{rate:e}"), move |mut c| {
+            if rate > 0.0 {
+                c.faults = FaultPlan::uniform_drop(c.seed ^ rate.to_bits(), rate);
+            }
+            c
+        });
+    }
+    let cells = grid.run(&args, cell);
 
     let mut all_retired = true;
     let mut cells_json = Vec::new();
     for (k, scheme) in SchemePreset::ALL.iter().enumerate() {
         let scheme = scheme.name();
         for (j, &rate) in DROP_RATES.iter().enumerate() {
-            let (offchip, ipc, dropped, retries, timeouts, lost, violations) =
-                cells[k * DROP_RATES.len() + j];
+            let (offchip, ipc, dropped, retries, timeouts, lost, violations) = *cells.get(0, k, j);
             if lost > 0 {
                 all_retired = false;
             }

@@ -11,8 +11,8 @@
 //! worker pool; breakdown rows merge exactly, so reports are identical for
 //! every `--jobs` value.
 
-use noclat::{run_mix, AppLatency, SystemConfig};
-use noclat_bench::{banner, core_of};
+use noclat::AppLatency;
+use noclat_bench::{banner, core_of, MixGrid};
 use noclat_engine::{self as sweep, Json, Obj, SweepArgs, DEFAULT_SHARDS};
 use noclat_workloads::{workload, SpecApp};
 
@@ -22,21 +22,17 @@ fn main() {
         "Figure 4: Per-range breakdown of off-chip access delay (milc, workload-2)",
         "Columns: delay range start | count | L1->L2 | L2->Mem | Mem | Mem->L2 | L2->L1",
     );
-    let lengths = args.lengths;
-    let policy = args.policy;
-    let kernel = args.kernel;
-    let shards = sweep::run_shards(&args, "fig04/w2", DEFAULT_SHARDS, move |_, seed| {
-        let mut cfg = SystemConfig::baseline_32();
-        cfg.seed = seed;
-        policy.apply(&mut cfg);
-        cfg.kernel = kernel;
-        let r = run_mix(&cfg, &workload(2).apps(), lengths);
-        let core = core_of(&r, SpecApp::Milc).expect("workload-2 contains milc");
-        (core, r.system.tracker().app(core).clone())
-    });
+    let cells = MixGrid::new("fig04")
+        .workload("w2", workload(2).apps())
+        .shards(DEFAULT_SHARDS)
+        .run(&args, |r| {
+            let core = core_of(r, SpecApp::Milc).expect("workload-2 contains milc");
+            (core, r.system.tracker().app(core).clone())
+        });
+    let shards = cells.shards(0, 0, 0);
     let core = shards[0].0;
     let mut app = AppLatency::empty();
-    for (_, shard) in &shards {
+    for (_, shard) in shards {
         app.merge(shard);
     }
     println!("milc runs on core {core}\n");

@@ -9,8 +9,7 @@
 //! samples the same number of instants), reduced in shard order so the
 //! report is identical for every `--jobs` value.
 
-use noclat::{run_mix, SystemConfig};
-use noclat_bench::banner;
+use noclat_bench::{banner, MixGrid};
 use noclat_engine::{self as sweep, Json, Obj, SweepArgs, DEFAULT_SHARDS};
 use noclat_workloads::workload;
 
@@ -20,24 +19,20 @@ fn main() {
         "Figure 6: Average idleness of the banks of memory controller 0 (workload-2)",
         "A bank is idle when its queue is empty at a sampling instant.",
     );
-    let lengths = args.lengths;
-    let policy = args.policy;
-    let kernel = args.kernel;
-    let shards = sweep::run_shards(&args, "fig06/w2", DEFAULT_SHARDS, move |_, seed| {
-        let mut cfg = SystemConfig::baseline_32();
-        cfg.seed = seed;
-        policy.apply(&mut cfg);
-        cfg.kernel = kernel;
-        let r = run_mix(&cfg, &workload(2).apps(), lengths);
-        (
-            r.system.idleness(0).per_bank_idleness(),
-            r.system.idleness(0).overall(),
-        )
-    });
+    let cells = MixGrid::new("fig06")
+        .workload("w2", workload(2).apps())
+        .shards(DEFAULT_SHARDS)
+        .run(&args, |r| {
+            (
+                r.system.idleness(0).per_bank_idleness(),
+                r.system.idleness(0).overall(),
+            )
+        });
+    let shards = cells.shards(0, 0, 0);
     let banks = shards[0].0.len();
     let mut idleness = vec![0.0f64; banks];
     let mut overall = 0.0f64;
-    for (per_bank, ov) in &shards {
+    for (per_bank, ov) in shards {
         for (acc, v) in idleness.iter_mut().zip(per_bank) {
             *acc += v;
         }

@@ -12,8 +12,8 @@
 //! exactly, so `--jobs 1` and `--jobs 8` print and serialize identical
 //! reports.
 
-use noclat::{run_mix, AppLatency, SystemConfig};
-use noclat_bench::{banner, core_of};
+use noclat::{AppLatency, SystemConfig};
+use noclat_bench::{banner, core_of, MixGrid};
 use noclat_engine::{self as sweep, histogram_json, Obj, SweepArgs, DEFAULT_SHARDS};
 use noclat_workloads::{workload, SpecApp};
 
@@ -23,20 +23,15 @@ fn main() {
         "Figure 9: Round-trip vs so-far delay distributions (milc, workload-2)",
         "Columns: bin center | round-trip fraction | so-far fraction",
     );
-    let lengths = args.lengths;
-    let policy = args.policy;
-    let kernel = args.kernel;
-    let shards = sweep::run_shards(&args, "fig09/w2", DEFAULT_SHARDS, move |_, seed| {
-        let mut cfg = SystemConfig::baseline_32();
-        cfg.seed = seed;
-        policy.apply(&mut cfg);
-        cfg.kernel = kernel;
-        let r = run_mix(&cfg, &workload(2).apps(), lengths);
-        let core = core_of(&r, SpecApp::Milc).expect("workload-2 contains milc");
-        r.system.tracker().app(core).clone()
-    });
+    let cells = MixGrid::new("fig09")
+        .workload("w2", workload(2).apps())
+        .shards(DEFAULT_SHARDS)
+        .run(&args, |r| {
+            let core = core_of(r, SpecApp::Milc).expect("workload-2 contains milc");
+            r.system.tracker().app(core).clone()
+        });
     let mut app = AppLatency::empty();
-    for shard in &shards {
+    for shard in cells.shards(0, 0, 0) {
         app.merge(shard);
     }
 

@@ -7,10 +7,10 @@
 //! may dip slightly below 1.0 under Scheme-1 alone (the paper saw this for
 //! workloads 2 and 9).
 //!
-//! One [`WsGrid`]: 18 workloads × {base, Scheme-1, Scheme-1+2}.
+//! One [`MixGrid`]: 18 workloads × {base, Scheme-1, Scheme-1+2}.
 
 use noclat::SystemConfig;
-use noclat_bench::{banner, pct, w, WsGrid};
+use noclat_bench::{banner, pct, w, MixGrid};
 use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 use noclat_sim::stats::geomean;
 use noclat_workloads::{indices_of, WorkloadKind};
@@ -21,15 +21,14 @@ fn main() {
         "Figure 11: Normalized weighted speedup, 18 workloads, 32-core system",
         "Bars: Scheme-1 and Scheme-1+Scheme-2, normalized to the baseline.",
     );
-    let mut grid = WsGrid::new("fig11");
-    grid.hardware("", SystemConfig::baseline_32())
-        .variant("base", |c| c)
+    let mut grid = MixGrid::new("fig11");
+    grid.variant("base", |c| c)
         .variant("s1", SystemConfig::with_scheme1)
         .variant("both", SystemConfig::with_both_schemes);
     for i in 1..=18 {
         grid.workload(w(i).name(), w(i).apps());
     }
-    let ws = grid.run(&args);
+    let ws = grid.run_ws(&args, |_, ws| ws);
 
     let mut rows_json = Vec::new();
     let mut geo_json = Obj::new();
@@ -46,7 +45,7 @@ fn main() {
         let mut s1s = Vec::new();
         let mut boths = Vec::new();
         for i in indices_of(kind) {
-            let base = ws.at(i - 1, 0, 0);
+            let base = *ws.get(i - 1, 0, 0);
             let s1 = ws.normalized(i - 1, 0, 1);
             let both = ws.normalized(i - 1, 0, 2);
             println!(

@@ -10,10 +10,19 @@
 //! (shard `s` uses the same derived seed under both variants) whose latency
 //! trackers merge exactly, so reports are identical for every `--jobs`.
 
-use noclat::{run_mix, LatencyTracker, SystemConfig};
-use noclat_bench::banner;
-use noclat_engine::{self as sweep, histogram_json, job_seed, Job, Obj, SweepArgs, DEFAULT_SHARDS};
+use noclat::{LatencyTracker, SystemConfig};
+use noclat_bench::{banner, MixGrid};
+use noclat_engine::{self as sweep, histogram_json, Obj, SweepArgs, DEFAULT_SHARDS};
 use noclat_workloads::{workload, SpecApp};
+
+/// The merge of a cell's shards.
+fn merged(shards: &[LatencyTracker]) -> LatencyTracker {
+    let mut t = shards[0].clone();
+    for shard in &shards[1..] {
+        t.merge(shard);
+    }
+    t
+}
 
 fn cdf_row(t: &LatencyTracker, cores: &[usize], x: u64) -> Vec<f64> {
     cores.iter().map(|&c| t.app(c).total.cdf_at(x)).collect()
@@ -49,44 +58,20 @@ fn main() {
         "Figure 12: CDFs of off-chip latency, first 8 apps of workload-1; PDF of lbm",
         "(a) baseline, (b) Scheme-1, (c) lbm PDF before/after.",
     );
-    let lengths = args.lengths;
     let apps = workload(1).apps();
     let lbm = apps
         .iter()
         .position(|&a| a == SpecApp::Lbm)
         .expect("workload-1 contains lbm");
 
-    let mut jobs = Vec::new();
-    for scheme1 in [false, true] {
-        for s in 0..DEFAULT_SHARDS {
-            let seed = job_seed(args.seed, s); // paired across variants
-            let apps = apps.clone();
-            let policy = args.policy;
-            let kernel = args.kernel;
-            let label = if scheme1 { "fig12/s1" } else { "fig12/base" };
-            jobs.push(Job::new(format!("{label}/shard-{s}"), move || {
-                let mut cfg = SystemConfig::baseline_32();
-                if scheme1 {
-                    cfg = cfg.with_scheme1();
-                }
-                cfg.seed = seed;
-                policy.apply(&mut cfg);
-                cfg.kernel = kernel;
-                run_mix(&cfg, &apps, lengths).system.tracker().clone()
-            }));
-        }
-    }
-    let mut results = sweep::run_grid(&args, jobs);
-    let shards = DEFAULT_SHARDS as usize;
-    let s1_shards = results.split_off(shards);
-    let mut base = results.remove(0);
-    for t in &results {
-        base.merge(t);
-    }
-    let mut s1 = s1_shards[0].clone();
-    for t in &s1_shards[1..] {
-        s1.merge(t);
-    }
+    let cells = MixGrid::new("fig12")
+        .workload("", apps)
+        .variant("base", |c| c)
+        .variant("s1", SystemConfig::with_scheme1)
+        .shards(DEFAULT_SHARDS)
+        .run(&args, |r| r.system.tracker().clone());
+    let base = merged(cells.shards(0, 0, 0));
+    let s1 = merged(cells.shards(0, 0, 1));
 
     let cores: Vec<usize> = (0..8).collect();
     let p90_base = print_cdfs("(a) baseline CDFs", &base, &cores);

@@ -10,9 +10,9 @@
 //!
 //! All four (workload × scheme) cells run as one pool grid.
 
-use noclat::{run_mix, SystemConfig};
-use noclat_bench::banner;
-use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
+use noclat::SystemConfig;
+use noclat_bench::{banner, MixGrid};
+use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 use noclat_workloads::workload;
 
 const WORKLOADS: [usize; 2] = [1, 8];
@@ -23,36 +23,24 @@ fn main() {
         "Figure 13: Bank idleness of controller 0, default vs Scheme-2",
         "A bank is idle when its queue is empty at a sampling instant.",
     );
-    let lengths = args.lengths;
-    let mut jobs = Vec::new();
-    for &widx in &WORKLOADS {
-        for scheme2 in [false, true] {
-            let seed = args.seed;
-            let policy = args.policy;
-            let kernel = args.kernel;
-            let label = if scheme2 { "scheme2" } else { "default" };
-            jobs.push(Job::new(format!("fig13/w{widx}/{label}"), move || {
-                let mut cfg = SystemConfig::baseline_32();
-                if scheme2 {
-                    cfg = cfg.with_scheme2();
-                }
-                cfg.seed = seed;
-                policy.apply(&mut cfg);
-                cfg.kernel = kernel;
-                let r = run_mix(&cfg, &workload(widx).apps(), lengths);
-                (
-                    r.system.idleness(0).per_bank_idleness(),
-                    r.system.idleness(0).overall(),
-                )
-            }));
-        }
+    let mut grid = MixGrid::new("fig13");
+    for widx in WORKLOADS {
+        grid.workload(format!("w{widx}"), workload(widx).apps());
     }
-    let results = sweep::run_grid(&args, jobs);
+    let cells = grid
+        .variant("default", |c| c)
+        .variant("scheme2", SystemConfig::with_scheme2)
+        .run(&args, |r| {
+            (
+                r.system.idleness(0).per_bank_idleness(),
+                r.system.idleness(0).overall(),
+            )
+        });
 
     let mut rows_json = Vec::new();
     for (k, &widx) in WORKLOADS.iter().enumerate() {
-        let (ib, overall_b) = &results[k * 2];
-        let (is2, overall_s) = &results[k * 2 + 1];
+        let (ib, overall_b) = cells.get(k, 0, 0);
+        let (is2, overall_s) = cells.get(k, 0, 1);
         println!("\n--- workload-{widx} ---");
         println!(
             "{:>5} {:>9} {:>9} {:>8}",

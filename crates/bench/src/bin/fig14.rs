@@ -7,9 +7,9 @@
 //!
 //! All four (workload × scheme) cells run as one pool grid.
 
-use noclat::{run_mix, SystemConfig};
-use noclat_bench::banner;
-use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
+use noclat::SystemConfig;
+use noclat_bench::{banner, MixGrid};
+use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 use noclat_workloads::workload;
 
 const WORKLOADS: [usize; 2] = [1, 8];
@@ -20,33 +20,19 @@ fn main() {
         "Figure 14: Average bank idleness over time, default vs Scheme-2",
         "One row per 10k-cycle interval, averaged across controller 0's banks.",
     );
-    let lengths = args.lengths;
-    let mut jobs = Vec::new();
-    for &widx in &WORKLOADS {
-        for scheme2 in [false, true] {
-            let seed = args.seed;
-            let policy = args.policy;
-            let kernel = args.kernel;
-            let label = if scheme2 { "scheme2" } else { "default" };
-            jobs.push(Job::new(format!("fig14/w{widx}/{label}"), move || {
-                let mut cfg = SystemConfig::baseline_32();
-                if scheme2 {
-                    cfg = cfg.with_scheme2();
-                }
-                cfg.seed = seed;
-                policy.apply(&mut cfg);
-                cfg.kernel = kernel;
-                let r = run_mix(&cfg, &workload(widx).apps(), lengths);
-                r.system.idleness(0).idleness_over_time()
-            }));
-        }
+    let mut grid = MixGrid::new("fig14");
+    for widx in WORKLOADS {
+        grid.workload(format!("w{widx}"), workload(widx).apps());
     }
-    let results = sweep::run_grid(&args, jobs);
+    let cells = grid
+        .variant("default", |c| c)
+        .variant("scheme2", SystemConfig::with_scheme2)
+        .run(&args, |r| r.system.idleness(0).idleness_over_time());
 
     let mut rows_json = Vec::new();
     for (k, &widx) in WORKLOADS.iter().enumerate() {
-        let tb = &results[k * 2];
-        let ts = &results[k * 2 + 1];
+        let tb = cells.get(k, 0, 0);
+        let ts = cells.get(k, 0, 1);
         println!("\n--- workload-{widx} (10k-cycle intervals, controller 0) ---");
         println!("{:>10} {:>9} {:>9}", "interval", "default", "scheme2");
         for i in 0..tb.len().min(ts.len()) {

@@ -6,10 +6,10 @@
 //! smaller mesh). Paper averages: ~8% (mixed), ~11% (intensive), ~1.5%
 //! (non-intensive) for Scheme-1+2.
 //!
-//! One [`WsGrid`]: the 18 half-workloads × {base, Scheme-1, Scheme-1+2}.
+//! One [`MixGrid`]: the 18 half-workloads × {base, Scheme-1, Scheme-1+2}.
 
 use noclat::SystemConfig;
-use noclat_bench::{banner, pct, w, WsGrid};
+use noclat_bench::{banner, pct, w, MixGrid};
 use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 use noclat_sim::stats::geomean;
 use noclat_workloads::{indices_of, WorkloadKind};
@@ -20,7 +20,7 @@ fn main() {
         "Figure 15: Normalized weighted speedup on the 16-core (4x4) system",
         "First half of each Table-2 workload; 2 memory controllers.",
     );
-    let mut grid = WsGrid::new("fig15");
+    let mut grid = MixGrid::new("fig15");
     grid.hardware("", SystemConfig::baseline_16())
         .variant("base", |c| c)
         .variant("s1", SystemConfig::with_scheme1)
@@ -28,7 +28,7 @@ fn main() {
     for i in 1..=18 {
         grid.workload(w(i).name(), w(i).first_half());
     }
-    let ws = grid.run(&args);
+    let ws = grid.run_ws(&args, |_, ws| ws);
 
     let mut rows_json = Vec::new();
     let mut geo_json = Obj::new();
@@ -45,7 +45,7 @@ fn main() {
         let mut s1s = Vec::new();
         let mut boths = Vec::new();
         for i in indices_of(kind) {
-            let base = ws.at(i - 1, 0, 0);
+            let base = *ws.get(i - 1, 0, 0);
             let s1 = ws.normalized(i - 1, 0, 1);
             let both = ws.normalized(i - 1, 0, 2);
             println!(

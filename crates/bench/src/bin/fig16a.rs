@@ -4,10 +4,9 @@
 //! Paper shape to reproduce: 1.2x is the sweet spot; 1.4x marks too few
 //! messages, 1.0x marks too many (prioritizing everything hurts the rest).
 //!
-//! One [`WsGrid`]: workloads 1-6 × {baseline, three thresholds}.
+//! One [`MixGrid`]: workloads 1-6 × {baseline, three thresholds}.
 
-use noclat::SystemConfig;
-use noclat_bench::{banner, w, WsGrid};
+use noclat_bench::{banner, w, MixGrid};
 use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 use noclat_sim::stats::geomean;
 
@@ -19,10 +18,9 @@ fn main() {
         "Figure 16a: Threshold sensitivity (workloads 1-6, Scheme-1+2)",
         "Normalized WS for thresholds 1.0x, 1.2x and 1.4x Delay_avg.",
     );
-    let mut grid = WsGrid::new("fig16a");
-    grid.hardware("", SystemConfig::baseline_32())
-        // t0 labels the unprioritized baseline cell
-        .variant("t0", |c| c);
+    let mut grid = MixGrid::new("fig16a");
+    // t0 labels the unprioritized baseline cell
+    grid.variant("t0", |c| c);
     for factor in FACTORS {
         grid.variant(format!("t{factor}"), move |c| {
             let mut c = c.with_both_schemes();
@@ -33,7 +31,7 @@ fn main() {
     for i in 1..=6 {
         grid.workload(w(i).name(), w(i).apps());
     }
-    let ws = grid.run(&args);
+    let ws = grid.run_ws(&args, |_, ws| ws);
 
     println!(
         "{:>12} {:>8} {:>8} {:>8}",
@@ -42,7 +40,7 @@ fn main() {
     let mut cols: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     let mut rows_json = Vec::new();
     for i in 1..=6 {
-        let base = ws.at(i - 1, 0, 0);
+        let base = *ws.get(i - 1, 0, 0);
         let row: Vec<f64> = (1..=3).map(|k| ws.normalized(i - 1, 0, k)).collect();
         for (k, v) in row.iter().enumerate() {
             cols[k].push(*v);

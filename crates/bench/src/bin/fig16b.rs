@@ -4,10 +4,9 @@
 //! Paper shape to reproduce: T=200 is best on average; T=400 expedites too
 //! few requests, T=100 misjudges idle banks.
 //!
-//! One [`WsGrid`]: workloads 1-6 × {baseline, three window lengths}.
+//! One [`MixGrid`]: workloads 1-6 × {baseline, three window lengths}.
 
-use noclat::SystemConfig;
-use noclat_bench::{banner, w, WsGrid};
+use noclat_bench::{banner, w, MixGrid};
 use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 use noclat_sim::stats::geomean;
 
@@ -19,10 +18,9 @@ fn main() {
         "Figure 16b: Bank-history-length sensitivity (workloads 1-6, Scheme-1+2)",
         "Normalized WS for T = 100, 200 and 400 cycles.",
     );
-    let mut grid = WsGrid::new("fig16b");
-    grid.hardware("", SystemConfig::baseline_32())
-        // window 0 labels the unprioritized baseline cell
-        .variant("T0", |c| c);
+    let mut grid = MixGrid::new("fig16b");
+    // window 0 labels the unprioritized baseline cell
+    grid.variant("T0", |c| c);
     for t in WINDOWS {
         grid.variant(format!("T{t}"), move |c| {
             let mut c = c.with_both_schemes();
@@ -33,7 +31,7 @@ fn main() {
     for i in 1..=6 {
         grid.workload(w(i).name(), w(i).apps());
     }
-    let ws = grid.run(&args);
+    let ws = grid.run_ws(&args, |_, ws| ws);
 
     println!(
         "{:>12} {:>8} {:>8} {:>8}",
@@ -42,7 +40,7 @@ fn main() {
     let mut cols: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     let mut rows_json = Vec::new();
     for i in 1..=6 {
-        let base = ws.at(i - 1, 0, 0);
+        let base = *ws.get(i - 1, 0, 0);
         let row: Vec<f64> = (1..=3).map(|k| ws.normalized(i - 1, 0, k)).collect();
         for (k, v) in row.iter().enumerate() {
             cols[k].push(*v);

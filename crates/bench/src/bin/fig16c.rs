@@ -5,11 +5,11 @@
 //! rises, there are more late accesses for Scheme-1 to catch, and combined
 //! gains are slightly higher (with exceptions, e.g. the paper's w-2/w-3).
 //!
-//! One [`WsGrid`]: workloads 1-6 × {4, 2} controllers × {base,
+//! One [`MixGrid`]: workloads 1-6 × {4, 2} controllers × {base,
 //! Scheme-1+2}; each controller count has its own alone denominators.
 
 use noclat::SystemConfig;
-use noclat_bench::{banner, w, WsGrid};
+use noclat_bench::{banner, w, MixGrid};
 use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 use noclat_sim::stats::geomean;
 
@@ -21,7 +21,7 @@ fn main() {
         "Figure 16c: 2 vs 4 memory controllers (workloads 1-6, Scheme-1+2)",
         "Normalized WS per controller count.",
     );
-    let mut grid = WsGrid::new("fig16c");
+    let mut grid = MixGrid::new("fig16c");
     for i in 1..=6 {
         grid.workload(w(i).name(), w(i).apps());
     }
@@ -32,7 +32,7 @@ fn main() {
     }
     grid.variant("base", |c| c)
         .variant("both", SystemConfig::with_both_schemes);
-    let ws = grid.run(&args);
+    let ws = grid.run_ws(&args, |_, ws| ws);
 
     println!("{:>12} {:>8} {:>8}", "workload", "4 MCs", "2 MCs");
     let mut cols: [Vec<f64>; 2] = [Vec::new(), Vec::new()];

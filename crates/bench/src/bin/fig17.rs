@@ -5,11 +5,11 @@
 //! by 25-40% (shallower pipelines leave less network latency to save, and
 //! pipeline bypassing has nothing left to skip).
 //!
-//! One [`WsGrid`]: workloads 1-6 × {5, 2} pipeline stages × {base,
+//! One [`MixGrid`]: workloads 1-6 × {5, 2} pipeline stages × {base,
 //! Scheme-1+2}; each pipeline depth has its own alone denominators.
 
 use noclat::{RouterPipeline, SystemConfig};
-use noclat_bench::{banner, w, WsGrid};
+use noclat_bench::{banner, w, MixGrid};
 use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 use noclat_sim::stats::geomean;
 
@@ -21,7 +21,7 @@ fn main() {
         "Figure 17: 5-stage vs 2-stage router pipelines (workloads 1-6, Scheme-1+2)",
         "Normalized WS per pipeline depth.",
     );
-    let mut grid = WsGrid::new("fig17");
+    let mut grid = MixGrid::new("fig17");
     for i in 1..=6 {
         grid.workload(w(i).name(), w(i).apps());
     }
@@ -32,7 +32,7 @@ fn main() {
     }
     grid.variant("base", |c| c)
         .variant("both", SystemConfig::with_both_schemes);
-    let ws = grid.run(&args);
+    let ws = grid.run_ws(&args, |_, ws| ws);
 
     println!("{:>12} {:>9} {:>9}", "workload", "5-stage", "2-stage");
     let mut cols: [Vec<f64>; 2] = [Vec::new(), Vec::new()];

@@ -9,7 +9,7 @@
 
 use noclat_bench::banner;
 use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
-use noclat_noc::{characterize, LoadPoint, Mesh, Network, TrafficPattern};
+use noclat_noc::{characterize, LoadPoint, Network, Topology, TrafficPattern};
 use noclat_sim::config::SystemConfig;
 
 const PATTERNS: [(&str, TrafficPattern); 4] = [
@@ -29,11 +29,12 @@ fn main() {
         "NoC load-latency curves (extension)",
         "Table-1 network, 5-flit packets; latency in cycles vs offered load.",
     );
-    // Only the arbitration slot of --policy can matter here (the request/
-    // response policies live above the raw network), so apply the override
-    // before extracting the NoC configuration.
+    // Only the arbitration slot of --policy and the --topology fabric can
+    // matter here (the request/response policies live above the raw
+    // network), so apply the overrides before extracting the NoC.
     let mut sys_cfg = SystemConfig::baseline_32();
-    args.apply_policy(&mut sys_cfg);
+    args.apply_overrides(&mut sys_cfg);
+    let topology = Topology::from_config(&sys_cfg.topology);
     let cfg = sys_cfg.noc;
     // The synthetic-traffic driver has its own notion of run length.
     let quick = args.lengths.measure <= noclat::RunLengths::quick().measure;
@@ -44,7 +45,7 @@ fn main() {
     for (name, pattern) in PATTERNS {
         for load in LOADS {
             jobs.push(Job::new(format!("loadlat/{name}/{load}"), move || {
-                let mut net: Network<()> = Network::new(Mesh::new(8, 4), cfg);
+                let mut net: Network<()> = Network::new(topology, cfg);
                 characterize(&mut net, pattern, load, 5, cycles, seed)
             }));
         }

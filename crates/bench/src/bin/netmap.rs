@@ -7,11 +7,18 @@
 //!
 //! Both routing runs execute as one pool grid.
 
-use noclat::{run_mix, SystemConfig};
-use noclat_bench::banner;
-use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
+use noclat::MixResult;
+use noclat_bench::{banner, MixGrid};
+use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
+use noclat_noc::Topology;
 use noclat_sim::config::RoutingAlgorithm;
 use noclat_workloads::workload;
+
+/// Flits forwarded per router, with the router grid's width.
+fn heat(r: &MixResult) -> (Vec<u64>, u64) {
+    let (width, _) = Topology::from_config(&r.system.config().topology).router_dims();
+    (r.system.forwarding_heat(), u64::from(width))
+}
 
 fn print_heat(label: &str, heat: &[u64], width: usize, height: usize) {
     let max = *heat.iter().max().unwrap_or(&1) as f64;
@@ -44,33 +51,26 @@ fn main() {
         "Network heat-map (extension): router forwarding load, X-Y vs Y-X",
         "Workload-8 (memory-intensive); corners host the memory controllers.",
     );
-    let lengths = args.lengths;
-    let apps = workload(8).apps();
     let algos = [
         ("X-Y routing", RoutingAlgorithm::XY),
         ("Y-X routing", RoutingAlgorithm::YX),
     ];
-
-    let mut jobs = Vec::new();
+    let mut grid = MixGrid::new("netmap");
+    grid.workload("", workload(8).apps());
     for (label, algo) in algos {
-        let apps = apps.clone();
-        let seed = args.seed;
-        let policy = args.policy;
-        let kernel = args.kernel;
-        jobs.push(Job::new(format!("netmap/{label}"), move || {
-            let mut cfg = SystemConfig::baseline_32();
-            cfg.noc.routing = algo;
-            cfg.seed = seed;
-            policy.apply(&mut cfg);
-            cfg.kernel = kernel;
-            run_mix(&cfg, &apps, lengths).system.forwarding_heat()
-        }));
+        grid.variant(label, move |mut c| {
+            c.noc.routing = algo;
+            c
+        });
     }
-    let results = sweep::run_grid(&args, jobs);
+    let cells = grid.run(&args, heat);
+    let (heat, width) = cells.get(0, 0, 0);
+    let (width, height) = (*width, heat.len() as u64 / width);
 
     let mut maps_json = Vec::new();
-    for ((label, _), heat) in algos.iter().zip(&results) {
-        print_heat(label, heat, 8, 4);
+    for (v, (label, _)) in algos.iter().enumerate() {
+        let (heat, _) = cells.get(0, 0, v);
+        print_heat(label, heat, width as usize, height as usize);
         maps_json.push(
             Obj::new()
                 .field("routing", *label)
@@ -84,8 +84,8 @@ fn main() {
         &args,
         Obj::new()
             .field("workload", 8u64)
-            .field("width", 8u64)
-            .field("height", 4u64)
+            .field("width", width)
+            .field("height", height)
             .field("maps", Json::Arr(maps_json))
             .build(),
     );

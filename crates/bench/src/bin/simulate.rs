@@ -114,7 +114,7 @@ fn main() {
         }
     };
     cfg.seed = args.seed;
-    args.apply_policy(&mut cfg);
+    args.apply_overrides(&mut cfg);
     if !(1..=18).contains(&extra.workload) {
         eprintln!("error: workload {} out of range (1..=18)", extra.workload);
         eprintln!("usage: {USAGE}");

@@ -6,15 +6,32 @@
 //! Both runs execute as one pool grid; the jobs return plain rows, so the
 //! report is identical for every `--jobs` value.
 
-use noclat::{run_mix, SystemConfig};
-use noclat_bench::banner;
-use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
+use noclat::{MixResult, SystemConfig};
+use noclat_bench::{banner, MixGrid};
+use noclat_engine::{self as sweep, Json, Obj, SweepArgs};
 use noclat_workloads::workload;
 
 const TOP_K: usize = 15;
 
 /// One slowest-access row: core, app name, total, five path segments.
 type Row = (usize, String, u64, [u64; 5]);
+
+/// The run's [`TOP_K`] slowest off-chip accesses.
+fn slowest(r: &MixResult) -> Vec<Row> {
+    r.system
+        .slowest_transactions()
+        .iter()
+        .take(TOP_K)
+        .map(|rec| {
+            (
+                rec.core,
+                r.per_app[rec.core].app.name().to_string(),
+                rec.total(),
+                rec.times.segments(),
+            )
+        })
+        .collect()
+}
 
 fn print_slowest(label: &str, rows: &[Row]) {
     println!("\n--- {label}: {TOP_K} slowest off-chip accesses ---");
@@ -51,42 +68,12 @@ fn main() {
         "Slowest transactions (extension): where do late accesses lose time?",
         "Workload-8; baseline vs Scheme-1.",
     );
-    let lengths = args.lengths;
-    let apps = workload(8).apps();
-
-    let mut jobs = Vec::new();
-    for scheme1 in [false, true] {
-        let apps = apps.clone();
-        let seed = args.seed;
-        let policy = args.policy;
-        let kernel = args.kernel;
-        let label = if scheme1 { "s1" } else { "base" };
-        jobs.push(Job::new(format!("slowest/{label}"), move || {
-            let mut cfg = SystemConfig::baseline_32();
-            if scheme1 {
-                cfg = cfg.with_scheme1();
-            }
-            cfg.seed = seed;
-            policy.apply(&mut cfg);
-            cfg.kernel = kernel;
-            let r = run_mix(&cfg, &apps, lengths);
-            r.system
-                .slowest_transactions()
-                .iter()
-                .take(TOP_K)
-                .map(|rec| {
-                    (
-                        rec.core,
-                        r.per_app[rec.core].app.name().to_string(),
-                        rec.total(),
-                        rec.times.segments(),
-                    )
-                })
-                .collect::<Vec<Row>>()
-        }));
-    }
-    let results = sweep::run_grid(&args, jobs);
-    let (base, s1) = (&results[0], &results[1]);
+    let cells = MixGrid::new("slowest")
+        .workload("", workload(8).apps())
+        .variant("base", |c| c)
+        .variant("s1", SystemConfig::with_scheme1)
+        .run(&args, slowest);
+    let (base, s1) = (cells.get(0, 0, 0), cells.get(0, 0, 1));
 
     print_slowest("baseline", base);
     print_slowest("Scheme-1", s1);

@@ -16,7 +16,7 @@ fn main() {
         "Paper values in parentheses where our model deviates (see DESIGN.md).",
     );
     let mut c = SystemConfig::baseline_32();
-    args.apply_policy(&mut c);
+    args.apply_overrides(&mut c);
     let rows: Vec<(&str, String)> = vec![
         (
             "Processors",

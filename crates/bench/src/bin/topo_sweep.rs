@@ -80,14 +80,6 @@ fn parse_rest(rest: &[String]) -> Grid {
     grid
 }
 
-fn base_config(size: u16) -> SystemConfig {
-    match size {
-        16 => SystemConfig::baseline_256(),
-        32 => SystemConfig::baseline_1024(),
-        other => unreachable!("unsupported grid size {other}"),
-    }
-}
-
 /// One cell's metrics: (offchip, ipc_sum, mean_latency, p95_latency).
 type Cell = (u64, f64, f64, u64);
 
@@ -124,7 +116,7 @@ fn main() {
     let mut cells: Vec<GridCell<Cell>> = Vec::new();
     let mut labels: Vec<(String, String, String, String)> = Vec::new();
     for &size in &grid.sizes {
-        let mut base = base_config(size);
+        let mut base = sweep::base_config(size).expect("--size parses to 16 or 32");
         base.seed = args.seed;
         for spec in &grid.fabrics {
             let ov = TopologyOverride::parse(spec).unwrap_or_else(|e| fail_usage(&e));
@@ -132,8 +124,7 @@ fn main() {
                 for &preset in SchemePreset::ALL {
                     let scheme = preset.name();
                     let mut cfg = preset.apply(base.clone());
-                    args.policy.apply(&mut cfg);
-                    cfg.kernel = args.kernel;
+                    args.apply_overrides(&mut cfg);
                     ov.apply(&mut cfg);
                     cfg.topology.mc_placement = mc;
                     if let Err(e) = cfg.validate() {

@@ -4,6 +4,7 @@
 //! siblings' results).
 
 use noclat::{run_mix, MixResult, RunLengths, SimError, SystemConfig};
+use noclat_bench::MixGrid;
 use noclat_engine::{self as sweep, Job, Json, Obj, SweepArgs};
 use noclat_sim::faults::{CycleWindow, RouterStall};
 use noclat_workloads::workload;
@@ -71,16 +72,18 @@ fn json_report_is_byte_identical_across_worker_counts() {
     assert_eq!(reports[0], reports[2], "1 vs 8 workers");
 }
 
-/// `run_shards` hands each shard its derived seed and returns results in
-/// shard order for any worker count.
+/// A grid's shard axis hands shard `s` the seed `job_seed(--seed, s)` and
+/// returns its results in shard order for any worker count.
 #[test]
-fn run_shards_results_are_in_shard_order_for_any_worker_count() {
-    for jobs in [1usize, 3, 8] {
+fn grid_shards_come_back_in_shard_order_for_any_worker_count() {
+    for jobs in [1usize, 3] {
         let args = args_with_jobs(jobs);
-        let vals = sweep::run_shards(&args, "order", 8, |s, seed| (s, seed));
-        for (i, &(s, seed)) in vals.iter().enumerate() {
-            assert_eq!(s, i as u64);
-            assert_eq!(seed, sweep::job_seed(args.seed, i as u64));
+        let cells = MixGrid::new("order")
+            .workload("", workload(2).apps())
+            .shards(4)
+            .run(&args, |r| r.system.config().seed);
+        for (s, &seed) in cells.shards(0, 0, 0).iter().enumerate() {
+            assert_eq!(seed, sweep::job_seed(args.seed, s as u64));
         }
     }
 }

@@ -44,8 +44,9 @@ pub mod watchdog;
 /// cache fold it into their fingerprints, so a file written by a model that
 /// produced different numbers is refused instead of served.
 ///
-/// Bump it whenever the golden results are re-pinned.
-pub const MODEL_VERSION: u32 = 1;
+/// Bump it whenever results under unchanged sweep arguments change
+/// (re-pinned goldens, or an override that starts being honoured).
+pub const MODEL_VERSION: u32 = 2;
 
 pub use experiment::{
     alone_config, alone_ipc, alone_ipc_table, canonical_core, run_mix, weighted_speedup,

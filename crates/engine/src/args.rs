@@ -34,14 +34,14 @@ pub struct SweepArgs {
     pub lengths: RunLengths,
     /// Prioritization-policy overrides
     /// (`--policy req=<name>,resp=<name>,arb=<name>`), applied to every
-    /// configuration the sweep builds via [`SweepArgs::apply_policy`].
+    /// configuration the sweep builds via [`SweepArgs::apply_overrides`].
     pub policy: PolicyOverride,
     /// Simulation kernel (`--kernel cycle|event`). Kernels are bit-identical
     /// by contract (the equivalence suite enforces it), so this only trades
     /// wall-clock time; reports are comparable across kernels.
     pub kernel: KernelKind,
     /// Fabric override (`--topology NAME[:PARAM=V,...]`), applied to every
-    /// configuration the sweep builds via [`SweepArgs::apply_policy`]. Unlike
+    /// configuration the sweep builds via [`SweepArgs::apply_overrides`]. Unlike
     /// `--kernel`, a topology change *does* change results, so it is part of
     /// the sweep fingerprint.
     pub topology: TopologyOverride,
@@ -283,10 +283,11 @@ impl SweepArgs {
     }
 
     /// Applies this sweep's `--policy`, `--kernel` and `--topology`
-    /// overrides to a configuration the harness is about to run. Call on
-    /// every cell of the grid so the overrides reach scheme variants and
-    /// knob sweeps alike; a sweep run without any of the flags is untouched.
-    pub fn apply_policy(&self, cfg: &mut SystemConfig) {
+    /// overrides to a configuration the harness is about to run. Call it
+    /// last, on every cell of the grid, so the overrides reach scheme
+    /// variants and knob sweeps alike; a sweep run without any of the flags
+    /// is untouched.
+    pub fn apply_overrides(&self, cfg: &mut SystemConfig) {
         self.policy.apply(cfg);
         cfg.kernel = self.kernel;
         self.topology.apply(cfg);
@@ -409,14 +410,14 @@ mod tests {
             SweepArgs::parse_argv(&argv(&["--policy", "req=oldest-first,resp=static"])).unwrap();
         assert!(rest.is_empty());
         let mut cfg = SystemConfig::baseline_32();
-        args.apply_policy(&mut cfg);
+        args.apply_overrides(&mut cfg);
         assert_eq!(cfg.request_policy(), RequestPolicyKind::OldestFirst);
         assert_eq!(cfg.response_policy(), ResponsePolicyKind::Static);
         cfg.validate().expect("override produces a valid config");
         // No --policy: configurations pass through untouched.
         let (args, _) = SweepArgs::parse_argv(&argv(&[])).unwrap();
         let mut cfg = SystemConfig::baseline_32();
-        args.apply_policy(&mut cfg);
+        args.apply_overrides(&mut cfg);
         assert_eq!(cfg, SystemConfig::baseline_32());
     }
 
@@ -426,12 +427,12 @@ mod tests {
         assert!(rest.is_empty());
         assert_eq!(args.kernel, KernelKind::Event);
         let mut cfg = SystemConfig::baseline_32();
-        args.apply_policy(&mut cfg);
+        args.apply_overrides(&mut cfg);
         assert_eq!(cfg.kernel, KernelKind::Event);
         // No --kernel: configurations pass through untouched.
         let (args, _) = SweepArgs::parse_argv(&argv(&[])).unwrap();
         let mut cfg = SystemConfig::baseline_32();
-        args.apply_policy(&mut cfg);
+        args.apply_overrides(&mut cfg);
         assert_eq!(cfg, SystemConfig::baseline_32());
     }
 

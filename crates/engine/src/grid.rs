@@ -2,12 +2,12 @@
 //! optional journal resume and analytic two-tier pruning.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use noclat::{alone_config, alone_ipc, Journal, SimError, SystemConfig};
 use noclat_analytic::AnalyticModel;
 use noclat_sim::journal::{self, fnv1a64};
-use noclat_sim::pool::{job_seed, run_jobs_supervised, Job};
+use noclat_sim::pool::{run_jobs_supervised, Job};
 use noclat_workloads::SpecApp;
 
 use crate::args::{job_key, sweep_fingerprint, PruneSpec, SweepArgs};
@@ -157,23 +157,21 @@ pub fn try_run_grid<T: Send + CellCodec>(
     let results = run_jobs_supervised(args.jobs, pending_jobs, &policy, Some(&observer));
     for (pi, result) in results.into_iter().enumerate() {
         let i = indices[pi];
-        // Errors report the cell's position in the full grid, not in the
-        // pending subset the pool happened to run.
-        let result = result.map_err(|mut e| {
-            match &mut e {
-                SimError::JobPanicked { index, .. } | SimError::JobTimeout { index, .. } => {
-                    *index = i;
-                }
-                _ => {}
-            }
-            e
-        });
-        slots[i] = Some(result);
+        slots[i] = Some(result.map_err(|e| at_grid_index(e, i)));
     }
     Ok(slots
         .into_iter()
         .map(|s| s.expect("every cell is cached or computed"))
         .collect())
+}
+
+/// Makes a job error report the cell's position `i` in the full grid, not
+/// in the subset of cells the pool happened to run.
+fn at_grid_index(mut e: SimError, i: usize) -> SimError {
+    if let SimError::JobPanicked { index, .. } | SimError::JobTimeout { index, .. } = &mut e {
+        *index = i;
+    }
+    e
 }
 
 /// Model inputs the analytic pruning pre-pass needs for one cell: the
@@ -293,17 +291,7 @@ pub fn try_run_pruned_grid<T: Send + CellCodec>(
     let mut results: Vec<Option<Result<T, SimError>>> = (0..n).map(|_| None).collect();
     for (si, r) in sub.into_iter().enumerate() {
         let i = indices[si];
-        // Errors report the cell's position in the full grid.
-        let r = r.map_err(|mut e| {
-            match &mut e {
-                SimError::JobPanicked { index, .. } | SimError::JobTimeout { index, .. } => {
-                    *index = i;
-                }
-                _ => {}
-            }
-            e
-        });
-        results[i] = Some(r);
+        results[i] = Some(r.map_err(|e| at_grid_index(e, i)));
     }
     Ok(PruneOutcome {
         results,
@@ -366,27 +354,6 @@ pub fn run_pruned_grid<T: Send + CellCodec>(
     }
 }
 
-/// Fans `shards` replicate runs of one measurement out to the pool: shard
-/// `s` calls `make(s, job_seed(args.seed, s))` and the results come back in
-/// shard order, ready to be merged. `make` must be deterministic in its
-/// arguments.
-#[must_use]
-pub fn run_shards<T, F>(args: &SweepArgs, label: &str, shards: u64, make: F) -> Vec<T>
-where
-    T: Send + CellCodec,
-    F: Fn(u64, u64) -> T + Send + Sync + 'static,
-{
-    let make = Arc::new(make);
-    let jobs: Vec<Job<T>> = (0..shards)
-        .map(|s| {
-            let make = Arc::clone(&make);
-            let seed = job_seed(args.seed, s);
-            Job::new(format!("{label}/shard-{s}"), move || make(s, seed))
-        })
-        .collect();
-    run_grid(args, jobs)
-}
-
 /// A table of alone-run IPCs (the weighted-speedup denominators), computed
 /// as its own parallel phase so the mix-run grid never recomputes them.
 ///
@@ -444,36 +411,23 @@ impl AloneMap {
         AloneMap { map }
     }
 
-    /// The alone IPC of `app` on `cfg`'s hardware.
+    /// Alone IPCs on `cfg`'s hardware for every distinct app of a
+    /// workload, in the shape [`noclat::weighted_speedup_of`] consumes.
     ///
     /// # Panics
     ///
-    /// Panics if the pair was not part of [`AloneMap::compute`].
-    #[must_use]
-    pub fn ipc(&self, cfg: &SystemConfig, app: SpecApp) -> f64 {
-        *self
-            .map
-            .get(&(alone_key(cfg), app))
-            .unwrap_or_else(|| panic!("alone IPC of {} not precomputed", app.name()))
-    }
-
-    /// Alone IPCs for every distinct app of a workload, in the shape
-    /// [`noclat::weighted_speedup_of`] consumes.
+    /// Panics if a pair was not part of [`AloneMap::compute`].
     #[must_use]
     pub fn table(&self, cfg: &SystemConfig, apps: &[SpecApp]) -> HashMap<SpecApp, f64> {
-        apps.iter().map(|&a| (a, self.ipc(cfg, a))).collect()
-    }
-
-    /// Number of distinct `(hardware, app)` entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no entries have been computed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        let key = alone_key(cfg);
+        apps.iter()
+            .map(|&app| {
+                let ipc = self.map.get(&(key.clone(), app)).unwrap_or_else(|| {
+                    panic!("alone IPC of {} not precomputed", app.name());
+                });
+                (app, *ipc)
+            })
+            .collect()
     }
 }
 

@@ -40,12 +40,12 @@ pub use cache::{read_snapshot, sweepd_cache_fingerprint, CacheError, ResultCache
 pub use codec::CellCodec;
 pub use exit::ExitCode;
 pub use grid::{
-    alone_key, run_grid, run_pruned_grid, run_shards, try_run_grid, try_run_pruned_grid, AloneMap,
-    GridCell, PruneInfo, PruneOutcome, PrunedResults,
+    alone_key, run_grid, run_pruned_grid, try_run_grid, try_run_pruned_grid, AloneMap, GridCell,
+    PruneInfo, PruneOutcome, PrunedResults,
 };
 pub use json::{Json, Obj, MAX_PARSE_DEPTH};
 pub use noclat_sim::pool::{
     job_rng, job_seed, run_jobs, run_jobs_supervised, Job, JobCtx, RetryPolicy,
 };
 pub use report::{finish, histogram_json, report, write_json_file};
-pub use server::{CellSpec, ServerConfig, SweepServer};
+pub use server::{base_config, CellSpec, ServerConfig, SweepServer};

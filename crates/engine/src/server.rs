@@ -241,8 +241,10 @@ impl CellSpec {
     }
 }
 
-/// Baseline configuration for a mesh side, `None` for unsupported sizes.
-fn base_config(size: u16) -> Option<SystemConfig> {
+/// The baseline preset whose mesh is `size` routers wide (4, 8, 16 or
+/// 32), `None` for unsupported sizes.
+#[must_use]
+pub fn base_config(size: u16) -> Option<SystemConfig> {
     match size {
         4 => Some(SystemConfig::baseline_16()),
         8 => Some(SystemConfig::baseline_32()),

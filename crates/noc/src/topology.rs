@@ -292,7 +292,8 @@ impl Topology {
     }
 
     /// Router-grid dimensions: (columns, rows).
-    fn router_dims(&self) -> (u16, u16) {
+    #[must_use]
+    pub fn router_dims(&self) -> (u16, u16) {
         let (cx, cy) = self.block_dims();
         (self.width / cx, self.height / cy)
     }
